@@ -24,7 +24,6 @@ from .qstate import (
     dephase,
     distances,
     fidelity,
-    load_state,
     relative_entropy,
     shannon_entropy,
     tensor,

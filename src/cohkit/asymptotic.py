@@ -19,6 +19,7 @@ from .errors import ResourceLimitError
 from .measures import Ensemble, coherence_of_formation, entropy_of_coherence, \
     relative_entropy_of_coherence
 from .qstate import DensityMatrix, PureState, fidelity, shannon_entropy
+from .rand import RNG_NAME, rng_for
 
 # Compute budgets ("budget exceeded" errors beyond these).
 MAX_N_LOG_DIM = 1e7          # concentration: n * log2(dim)
@@ -27,12 +28,7 @@ MAX_SEQUENCES = 1e5          # covering: full type-class enumeration
 MAX_GRAM = 4000              # covering: Gram-matrix side length
 MAX_RECONSTRUCT_DIM = 4096   # formation: dim**n for state reconstruction
 MEMBERSHIP_TOL = 1e-12       # absorbs float dust at typicality boundaries
-
-RNG_NAME = "pcg64"
-
-
-def _rng_for(seed, *counters) -> np.random.Generator:
-    return np.random.default_rng([int(seed), *map(int, counters)])
+TYPE_CHUNK = 1 << 15         # types expanded at once by _type_mass
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,7 @@ def simulate_concentration(psi: PureState, n: int, trials: int,
     target = entropy_of_coherence(psi)
     rates = []
     for t in range(trials):
-        outcome = type_measurement(probs, n, _rng_for(seed, t))
+        outcome = type_measurement(probs, n, rng_for(seed, t))
         rates.append(outcome.achieved_rate)
     return ProtocolTrace(n=n, trials=trials, rates=rates,
                          mean_rate=float(np.mean(rates)),
@@ -120,6 +116,70 @@ def _kept_letters(probs, floor: float = 1e-12):
     p = np.asarray(probs, dtype=float)
     p = p[p > floor]
     return p / p.sum()
+
+
+def _type_mass(ln_q, n: int, lo, hi, score=None, target: float = 0.0,
+               tol: float = math.inf) -> float:
+    """Multinomial mass n!/prod(c_j!) prod q_j^c_j of the integer types c
+    with sum(c) = n and lo <= c <= hi, and, when ``score`` is given, with
+    abs(c . score / n - target) <= tol.
+
+    Letters are fixed one per level, for a whole chunk of type prefixes at
+    once.  An entry of a chunk holds the count c of its newest letter, the
+    count left for the later letters, the score of its letters so far and
+    the log-mass of the letters before the newest.  The letter before last
+    fixes the last one, so the window is tested before the log-factorials
+    of complete types are taken.  A chunk whose next level would exceed
+    TYPE_CHUNK entries is halved (down to a single prefix, whose expansion
+    holds at most n + 1 entries), and chunks are taken depth-first, so
+    memory does not grow with the number of types.
+    """
+    d = ln_q.size
+    lo, hi = [int(x) for x in lo], [int(x) for x in hi]
+    lo_tail = [sum(lo[j + 1:]) for j in range(d)]
+    hi_tail = [sum(hi[j + 1:]) for j in range(d)]
+    score = np.zeros(d) if score is None else score
+    c = np.arange(max(lo[0], n - hi_tail[0]), min(hi[0], n - lo_tail[0]) + 1)
+    stack = [(0, c, n - c, c * score[0], np.zeros(c.size))]
+    total = 0.0
+    while stack:
+        j, c, rem, part, lnm = stack.pop()
+        if j == d - 2:
+            # In place: one temporary, not four; fresh pages fault per call.
+            s = rem * score[-1]
+            s += part
+            s /= n
+            s -= target
+            keep = np.abs(s, out=s) <= tol
+            c, rem = c[keep], rem[keep]
+            total += float(np.exp(
+                gammaln(n + 1.0) + lnm[keep] + c * ln_q[j] - gammaln(c + 1.0)
+                + rem * ln_q[-1] - gammaln(rem + 1.0)).sum())
+            continue
+        first = np.maximum(lo[j + 1], rem - hi_tail[j + 1])
+        size = np.maximum(
+            np.minimum(hi[j + 1], rem - lo_tail[j + 1]) - first + 1, 0)
+        ends = np.cumsum(size)
+        if c.size > 1 and ends[-1] > TYPE_CHUNK:
+            for a, b in ((c.size // 2, c.size), (0, c.size // 2)):
+                stack.append((j, c[a:b], rem[a:b], part[a:b], lnm[a:b]))
+            continue
+        lnm = np.repeat(lnm + c * ln_q[j] - gammaln(c + 1.0), size)
+        c = np.repeat(first - ends + size, size)
+        c += np.arange(c.size)
+        rem = np.repeat(rem, size)
+        rem -= c
+        part = np.repeat(part, size)
+        part += c * score[j + 1]
+        stack.append((j + 1, c, rem, part, lnm))
+    return min(1.0, total)
+
+
+def _sequences(m: int, n: int) -> np.ndarray:
+    """All m**n letter sequences of length n, one per row, in lexicographic
+    order."""
+    return np.stack(np.meshgrid(*([np.arange(m)] * n),
+                                indexing="ij")).reshape(n, -1).T
 
 
 def typical_set_probability(probs, n: int, delta: float) -> float:
@@ -138,43 +198,8 @@ def typical_set_probability(probs, n: int, delta: float) -> float:
         raise ResourceLimitError(
             f"{math.comb(n + d - 1, d - 1)} types over budget")
     v = -np.log2(q)
-    h = float(np.dot(q, v))
-    ln_q = np.log(q)
-    tol = delta + MEMBERSHIP_TOL
-    ln_n_fact = gammaln(n + 1.0)
-
-    if d == 2:
-        k = np.arange(n + 1)
-        mean = (v[0] * (n - k) + v[1] * k) / n
-        mask = np.abs(mean - h) <= tol
-        if not np.any(mask):
-            return 0.0
-        km = k[mask]
-        lp = (ln_n_fact - gammaln(km + 1.0) - gammaln(n - km + 1.0)
-              + km * ln_q[1] + (n - km) * ln_q[0])
-        return float(min(1.0, np.exp(lp).sum()))
-
-    total = 0.0
-
-    def recurse(idx, rem, vsum, lnfact, lnq_sum):
-        nonlocal total
-        if idx == d - 2:
-            k = np.arange(rem + 1)
-            mean = (vsum + k * v[idx] + (rem - k) * v[idx + 1]) / n
-            mask = np.abs(mean - h) <= tol
-            if np.any(mask):
-                km = k[mask]
-                lp = (ln_n_fact - lnfact - gammaln(km + 1.0)
-                      - gammaln(rem - km + 1.0) + lnq_sum
-                      + km * ln_q[idx] + (rem - km) * ln_q[idx + 1])
-                total += float(np.exp(lp).sum())
-            return
-        for c in range(rem + 1):
-            recurse(idx + 1, rem - c, vsum + c * v[idx],
-                    lnfact + gammaln(c + 1.0), lnq_sum + c * ln_q[idx])
-
-    recurse(0, n, 0.0, 0.0, 0.0)
-    return float(min(1.0, total))
+    return _type_mass(np.log(q), n, [0] * d, [n] * d, score=v,
+                      target=float(np.dot(q, v)), tol=delta + MEMBERSHIP_TOL)
 
 
 def dilution_blocklength(probs, delta: float, eps: float) -> int:
@@ -232,26 +257,7 @@ def frequency_typical_probability(weights, n: int, delta: float) -> float:
     widths = hi[:-1] - lo[:-1] + 1
     if float(np.prod(widths.astype(float))) > 1e7:
         raise ResourceLimitError("frequency-typical box over budget")
-    ln_w = np.log(np.maximum(w, 1e-300))
-    ln_n_fact = gammaln(n + 1.0)
-    total = 0.0
-    counts = np.zeros(m, dtype=int)
-
-    def recurse(idx, used, lnfact, lnw_sum):
-        nonlocal total
-        if idx == m - 1:
-            last = n - used
-            if lo[idx] <= last <= hi[idx]:
-                lp = (ln_n_fact - lnfact - gammaln(last + 1.0)
-                      + lnw_sum + last * ln_w[idx])
-                total += math.exp(lp)
-            return
-        for c in range(lo[idx], min(hi[idx], n - used) + 1):
-            recurse(idx + 1, used + c, lnfact + gammaln(c + 1.0),
-                    lnw_sum + c * ln_w[idx])
-
-    recurse(0, 0, 0.0, 0.0)
-    return min(1.0, total)
+    return _type_mass(np.log(np.maximum(w, 1e-300)), n, lo, hi)
 
 
 def _sample_typical_counts(weights, n, delta, rng, max_attempts=10000):
@@ -325,7 +331,7 @@ def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
     fidelities = []
     sampled_counts = []
     for t in range(trials):
-        rng = _rng_for(seed, t)
+        rng = rng_for(seed, t)
         counts = _sample_typical_counts(weights, n, delta1, rng)
         sampled_counts.append(counts)
         freqs = counts / n
@@ -376,8 +382,7 @@ def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2):
     out = np.zeros((d ** n, d ** n), dtype=complex)
     prob_typical = 0.0
     min_group_fid = 1.0
-    seqs = np.stack(np.meshgrid(*([np.arange(m)] * n),
-                                indexing="ij")).reshape(n, -1).T
+    seqs = _sequences(m, n)
     log_w = np.log(np.maximum(weights, 1e-300))
     for seq in seqs:
         counts = np.bincount(seq, minlength=m)
@@ -432,28 +437,6 @@ def _apportion_counts(weights, n: int) -> np.ndarray:
     return counts
 
 
-def _multiset_permutations(counts: np.ndarray) -> np.ndarray:
-    """All distinct letter sequences with the given counts, as an array."""
-    n = int(counts.sum())
-    m = counts.size
-    seqs = []
-    seq = np.empty(n, dtype=np.int8)
-
-    def recurse(pos, remaining):
-        if pos == n:
-            seqs.append(seq.copy())
-            return
-        for j in range(m):
-            if remaining[j] > 0:
-                remaining[j] -= 1
-                seq[pos] = j
-                recurse(pos + 1, remaining)
-                remaining[j] += 1
-
-    recurse(0, counts.copy())
-    return np.stack(seqs)
-
-
 def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
                    seed: int = 0, eps_grid=(0.05, 0.1, 0.2, 0.4),
                    max_subsets_per_trial: int | None = None) -> CoveringCheckReport:
@@ -478,7 +461,9 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
     if S < 1 or S > class_size:
         raise ValueError(f"subset size {S} outside [1, {class_size}]")
 
-    seqs = _multiset_permutations(counts)
+    seqs = _sequences(m, n)  # the type class: rows with these letter counts
+    seqs = seqs[np.all((seqs[:, :, None] == np.arange(m)).sum(axis=1)
+                       == counts, axis=1)]
     big_n = seqs.shape[0]
     vecs = np.stack([psi.amplitudes for psi in ensemble.members])
     overlap = vecs.conj() @ vecs.T            # <psi_a | psi_b>
@@ -499,7 +484,7 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
         n_subsets, max_subsets_per_trial)
     deviations = []
     for t in range(trials):
-        rng = _rng_for(seed, t)
+        rng = rng_for(seed, t)
         perm = rng.permutation(big_n)
         for s_idx in range(cap):
             idx = perm[s_idx * S:(s_idx + 1) * S]

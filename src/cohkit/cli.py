@@ -41,7 +41,8 @@ from .measures import (
     relative_entropy_of_coherence,
     relative_entropy_of_coherence_variational,
 )
-from .qstate import BasisPartition, PureState, state_from_dict
+from .qstate import BasisPartition, PureState, save_json, state_from_dict
+from .rand import RNG_NAME
 from .reversibility import is_reversible
 from .selftest import run_selftest
 
@@ -71,43 +72,44 @@ def _load_json_file(path: str) -> dict:
 
 
 def _load_state(path: str, tolerance: float | None):
-    kwargs = {}
-    if tolerance is not None:
-        kwargs["atol"] = tolerance
-    data = _load_json_file(path)
-    try:
-        return state_from_dict(data, **kwargs)
-    except TypeError:
-        return state_from_dict(data)
+    kwargs = {} if tolerance is None else {"atol": tolerance}
+    return state_from_dict(_load_json_file(path), **kwargs)
+
+
+def _as_density(state):
+    return state.to_density() if isinstance(state, PureState) else state
 
 
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(report, indent=2, sort_keys=True))
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        save_json(report, out_path)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _cmd_measure(args) -> int:
     state = _load_state(args.state, args.tolerance)
     report = {"command": "measure", "which": args.which, "seed": args.seed,
-              "rng": "pcg64", "log_base": 2}
+              "rng": RNG_NAME, "log_base": 2}
     if args.which == "c":
         if not isinstance(state, PureState):
             raise InvariantViolationError(
                 "pure_state", "entropy of coherence takes a pure state")
         report["value"] = entropy_of_coherence(state)
     elif args.which == "cr":
-        rho = state.to_density() if isinstance(state, PureState) else state
+        rho = _as_density(state)
         report["value"] = relative_entropy_of_coherence(rho)
         if args.variational:
             report["variational"] = relative_entropy_of_coherence_variational(rho)
     elif args.which == "cf":
-        rho = state.to_density() if isinstance(state, PureState) else state
-        result = coherence_of_formation(rho, restarts=args.restarts,
-                                        seed=args.seed)
+        result = coherence_of_formation(_as_density(state),
+                                        restarts=args.restarts, seed=args.seed)
         report["value"] = result.value
         report["bound_kind"] = "upper"
         report["converged"] = result.converged
@@ -130,11 +132,9 @@ def _cmd_transform(args) -> int:
               "class": channel.class_label,
               "completeness_defect": channel.completeness_defect(),
               "channel": channel.to_dict()}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(report, None)
     if args.out:  # the channel file itself, loadable by `classify`
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(channel.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(channel.to_dict(), args.out)
     return 0
 
 
@@ -156,8 +156,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_reversibility(args) -> int:
-    state = _load_state(args.state, args.tolerance)
-    rho = state.to_density() if isinstance(state, PureState) else state
+    rho = _as_density(_load_state(args.state, args.tolerance))
     verdict = is_reversible(rho, threshold=args.threshold,
                             restarts=args.restarts, seed=args.seed)
     report = {"command": "reversibility", "seed": args.seed,
@@ -165,15 +164,6 @@ def _cmd_reversibility(args) -> int:
     report.update(verdict.to_dict())
     _emit(report, args.out)
     return 0
-
-
-def _write_trace_csv(path: str, trace) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "n", "rate", "fidelity", "seed"])
-        for t, (rate, fid) in enumerate(zip(trace.rates, trace.fidelity)):
-            writer.writerow([t, trace.n, repr(float(rate)),
-                             repr(float(fid)), trace.seed])
 
 
 def _cmd_simulate(args) -> int:
@@ -185,8 +175,7 @@ def _cmd_simulate(args) -> int:
         psi = _load_state(args.state, args.tolerance)
         trace = simulate_dilution(psi, args.n, args.delta, seed=seed)
     elif args.protocol == "form":
-        state = _load_state(args.state, args.tolerance)
-        rho = state.to_density() if isinstance(state, PureState) else state
+        rho = _as_density(_load_state(args.state, args.tolerance))
         trace = simulate_formation(rho, args.n, args.delta, args.delta2,
                                    seed=seed, trials=args.trials,
                                    restarts=args.restarts)
@@ -195,22 +184,24 @@ def _cmd_simulate(args) -> int:
         report = covering_check(ensemble, args.n, args.subset_size,
                                 args.trials, seed=seed)
         summary = {"command": "simulate", "protocol": "cover", "seed": seed,
-                   "rng": "pcg64", "n": args.n, "S": report.S, "M": report.M,
+                   "rng": RNG_NAME, "n": args.n, "S": report.S,
+                   "M": report.M,
                    "median_deviation": float(np.median(report.deviations)),
                    "fraction_good": {str(k): v
                                      for k, v in report.fraction_good.items()}}
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["subset", "n", "deviation", "seed"])
-                for i, dev in enumerate(report.deviations):
-                    writer.writerow([i, args.n, repr(float(dev)), seed])
+            _write_csv(args.out, ["subset", "n", "deviation", "seed"],
+                       ([i, args.n, repr(float(dev)), seed]
+                        for i, dev in enumerate(report.deviations)))
         _emit(summary, None)
         return 0
     if args.out:
-        _write_trace_csv(args.out, trace)
+        _write_csv(args.out, ["trial", "n", "rate", "fidelity", "seed"],
+                   ([t, trace.n, repr(float(rate)), repr(float(fid)), seed]
+                    for t, (rate, fid) in enumerate(zip(trace.rates,
+                                                        trace.fidelity))))
     summary = {"command": "simulate", "protocol": args.protocol,
-               "seed": seed, "rng": "pcg64", "n": trace.n,
+               "seed": seed, "rng": RNG_NAME, "n": trace.n,
                "trials": trace.trials, "mean_rate": trace.mean_rate,
                "std_rate": float(np.std(trace.rates)),
                "mean_fidelity": float(np.mean(trace.fidelity)),

@@ -251,6 +251,8 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
     two best restarts agree within 1e-6.  The reported value is an upper
     bound; no global optimality is certified.
     """
+    from .rand import random_isometry, rng_for  # rand imports this module
+
     d = rho.dim
     factor = _spectral_factor(rho)
     r = factor.shape[1]
@@ -266,7 +268,6 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
             u0 = np.zeros((m, r), dtype=complex)
             u0[:r, :r] = np.eye(r)
         else:
-            from .rand import random_isometry, rng_for
             u0 = random_isometry(m, r, rng_for(seed, k))
         f, u = _descend(u0, factor)
         results.append((f, m, k, u))

@@ -37,10 +37,16 @@ SUPPORT_TOL = 1e-10
 DIM_CAP = 4096
 
 
+def _check_finite(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise InvariantViolationError("finite", "NaN or infinite entries")
+
+
 def _as_complex_matrix(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvariantViolationError("square_matrix", f"shape {m.shape}")
+    _check_finite(m)
     return m
 
 
@@ -133,6 +139,7 @@ class PureState:
         a = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if a.size == 0:
             raise InvariantViolationError("dimension", "empty amplitude vector")
+        _check_finite(a)
         norm2 = float(np.real(np.vdot(a, a)))
         if abs(norm2 - 1.0) > atol:
             raise InvariantViolationError(
@@ -225,12 +232,6 @@ class BasisPartition:
     def mask(self) -> np.ndarray:
         """Boolean d x d matrix marking same-block entry pairs."""
         return self._mask
-
-    def block_of(self, index: int) -> int:
-        for j, b in enumerate(self.blocks):
-            if index in b:
-                return j
-        raise IndexError(index)
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "blocks": [list(b) for b in self.blocks]}
@@ -379,11 +380,6 @@ def _j2c(obj) -> complex:
     return complex(obj)
 
 
-def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def save_json(obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -396,11 +392,5 @@ def state_from_dict(data: dict, **kwargs):
         return DensityMatrix.from_dict(data, **kwargs)
     if "amplitudes" in data:
         return PureState.from_dict(data, **kwargs)
-    if "blocks" in data:
-        return BasisPartition.from_dict(data)
     raise InvariantViolationError(
-        "json_schema", "expected one of: matrix, amplitudes, blocks")
-
-
-def load_state(path: str, **kwargs):
-    return state_from_dict(load_json(path), **kwargs)
+        "json_schema", "expected one of: matrix, amplitudes")

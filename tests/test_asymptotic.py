@@ -111,6 +111,11 @@ def brute_typical_probability(probs, n, delta):
     ([0.5, 0.5], 6, 0.0),
     ([0.6, 0.3, 0.1], 6, 0.25),
     ([0.4, 0.3, 0.2, 0.1], 5, 0.3),
+    ([0.3, 0.25, 0.2, 0.15, 0.1], 5, 0.2),
+    # windows reaching the edge of the box: the all-likeliest type (counts
+    # n and 0), and every type (mass 1)
+    ([0.9, 0.1], 8, 0.35),
+    ([0.5, 0.3, 0.2], 6, 3.0),
 ])
 def test_typical_set_probability_against_enumeration(probs, n, delta):
     exact = ck.typical_set_probability(probs, n, delta)
@@ -215,16 +220,29 @@ def test_formation_reconstruction_beats_floor():
     assert trace.reconstruction_fidelity <= 1.0 + 1e-12
 
 
-def test_frequency_typical_probability_matches_enumeration():
-    w = np.array([0.6, 0.4])
-    n, delta = 12, 0.15
+@pytest.mark.parametrize("w,n,delta", [
+    ([0.6, 0.4], 12, 0.15),
+    ([0.9, 0.1], 10, 0.2),         # windows clipped at n and at 0
+    ([0.5, 0.3, 0.2], 10, 0.1),
+    ([0.7, 0.2, 0.1], 9, 0.15),    # third window clipped at 0
+])
+def test_frequency_typical_probability_matches_enumeration(w, n, delta):
+    w = np.asarray(w)
     exact = ck.frequency_typical_probability(w, n, delta)
     brute = 0.0
-    for k in range(n + 1):
-        counts = np.array([k, n - k])
-        if np.all(np.abs(counts / n - w) <= delta + 1e-9):
-            brute += math.comb(n, k) * w[0] ** k * w[1] ** (n - k)
+    for counts in itertools.product(range(n + 1), repeat=w.size):
+        counts = np.array(counts)
+        if counts.sum() == n and np.all(np.abs(counts / n - w)
+                                        <= delta + 1e-9):
+            coeff = math.factorial(n) / np.prod(
+                [math.factorial(int(c)) for c in counts])
+            brute += coeff * float(np.prod(w ** counts))
     assert np.isclose(exact, brute, atol=1e-12)
+
+
+def test_frequency_typical_box_budget():
+    with pytest.raises(ResourceLimitError):
+        ck.frequency_typical_probability([0.25] * 4, 10 ** 4, 0.4)
 
 
 # -- covering ------------------------------------------------------------------------------

@@ -100,6 +100,28 @@ def test_invariant_violation_is_exit_2(capsys, files):
     assert "unit_trace" in err
 
 
+def test_nan_state_is_exit_2(capsys, files):
+    bad = files["dir"] / "nan.json"
+    nan = {"re": math.nan, "im": 0.0}
+    bad.write_text(json.dumps({"dim": 2, "matrix": [
+        [{"re": 0.5, "im": 0.0}, nan], [nan, {"re": 0.5, "im": 0.0}]]}))
+    code, out, err = run(capsys, ["measure", "--state", str(bad),
+                                  "--which", "cr"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["invariant"] == "finite"
+
+
+@pytest.mark.parametrize("extra", [[], ["--tolerance", "1e-8"]])
+def test_partition_file_as_state_is_exit_2(capsys, files, extra):
+    path = files["dir"] / "partition.json"
+    save_json(ck.BasisPartition(4, [[0, 1], [2, 3]]).to_dict(), path)
+    code, _, err = run(capsys, ["measure", "--state", str(path),
+                                "--which", "cr"] + extra)
+    assert code == 2
+    assert json.loads(err)["invariant"] == "json_schema"
+
+
 def test_impossible_transform_is_exit_3(capsys, files):
     code, _, err = run(capsys, ["transform", "--source", files["target"],
                                 "--target", files["phi2"]])

@@ -51,6 +51,16 @@ def test_pure_state_norm_enforced():
     assert np.isclose(np.linalg.norm(psi.amplitudes), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_states_reject_non_finite_entries(bad):
+    with pytest.raises(InvariantViolationError) as err:
+        ck.DensityMatrix([[0.5, bad], [bad, 0.5]])
+    assert err.value.invariant == "finite"
+    with pytest.raises(InvariantViolationError) as err:
+        ck.PureState([1.0, bad])
+    assert err.value.invariant == "finite"
+
+
 def test_partition_validation():
     with pytest.raises(InvariantViolationError):
         ck.BasisPartition(4, [[0, 1], [1, 2, 3]])
