@@ -2,15 +2,19 @@
 
 Exit codes: 0 success, 1 malformed input file (with parse location),
 2 invariant violation (naming the invariant), 3 transformation impossible
-(with the majorization witness).  Identical (arguments, seed) pairs produce
-byte-identical reports; every report records the seed and all numbers are
-emitted at full double precision.
+(with the majorization witness).  An input file whose JSON parses but has a
+missing or wrong-typed field is the invariant violation ``json_schema``.
+The count arguments ``--n``, ``--trials``, ``--restarts`` and
+``--subset-size`` must be integers >= 1.  Identical (arguments, seed) pairs
+produce byte-identical reports; every report records the seed and all
+numbers are emitted at full double precision.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -58,6 +62,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -71,13 +82,30 @@ def _load_json_file(path: str) -> dict:
         raise SystemExit(1)
 
 
+def _load(path: str, build):
+    """``build`` applied to the parsed file; a missing or wrong-typed field
+    is the invariant violation ``json_schema``, not a traceback."""
+    data = _load_json_file(path)
+    try:
+        return build(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvariantViolationError(
+            "json_schema", f"{type(exc).__name__}: {exc}")
+
+
 def _load_state(path: str, tolerance: float | None):
     kwargs = {} if tolerance is None else {"atol": tolerance}
-    return state_from_dict(_load_json_file(path), **kwargs)
+    return _load(path, lambda data: state_from_dict(data, **kwargs))
 
 
 def _as_density(state):
     return state.to_density() if isinstance(state, PureState) else state
+
+
+def _pure(state, detail: str) -> PureState:
+    if not isinstance(state, PureState):
+        raise InvariantViolationError("pure_state", detail)
+    return state
 
 
 def _emit(report: dict, out_path: str | None):
@@ -98,10 +126,8 @@ def _cmd_measure(args) -> int:
     report = {"command": "measure", "which": args.which, "seed": args.seed,
               "rng": RNG_NAME, "log_base": 2}
     if args.which == "c":
-        if not isinstance(state, PureState):
-            raise InvariantViolationError(
-                "pure_state", "entropy of coherence takes a pure state")
-        report["value"] = entropy_of_coherence(state)
+        report["value"] = entropy_of_coherence(
+            _pure(state, "entropy of coherence takes a pure state"))
     elif args.which == "cr":
         rho = _as_density(state)
         report["value"] = relative_entropy_of_coherence(rho)
@@ -123,32 +149,28 @@ def _cmd_measure(args) -> int:
 def _cmd_transform(args) -> int:
     source = _load_state(args.source, args.tolerance)
     target = _load_state(args.target, args.tolerance)
-    if not isinstance(source, PureState) or not isinstance(target, PureState):
-        raise InvariantViolationError(
-            "pure_state", "transform takes pure-state JSON files")
-    channel = synthesize_pure_transformation(source, target)
+    detail = "transform takes pure-state JSON files"
+    channel = synthesize_pure_transformation(_pure(source, detail),
+                                             _pure(target, detail))
+    channel_dict = channel.to_dict()
     report = {"command": "transform", "seed": args.seed,
               "kraus_count": len(channel.kraus),
               "class": channel.class_label,
               "completeness_defect": channel.completeness_defect(),
-              "channel": channel.to_dict()}
+              "channel": channel_dict}
     _emit(report, None)
     if args.out:  # the channel file itself, loadable by `classify`
-        save_json(channel.to_dict(), args.out)
+        save_json(channel_dict, args.out)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    data = _load_json_file(args.channel)
-    data = data.get("channel", data)  # accept a transform report too
-    try:
-        channel = IncoherentChannel.from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise InvariantViolationError("json_schema",
-                                      f"not a channel file: {exc}")
+    # A transform report is accepted too: its channel is under "channel".
+    channel = _load(args.channel, lambda data: IncoherentChannel.from_dict(
+        data.get("channel", data)))
     partition = None
     if args.partition:
-        partition = BasisPartition.from_dict(_load_json_file(args.partition))
+        partition = _load(args.partition, BasisPartition.from_dict)
     report = {"command": "classify", "seed": args.seed,
               "class": classify_channel(channel, partition)}
     _emit(report, args.out)
@@ -168,19 +190,21 @@ def _cmd_reversibility(args) -> int:
 
 def _cmd_simulate(args) -> int:
     seed = args.seed
-    if args.protocol == "concentrate":
-        psi = _load_state(args.state, args.tolerance)
-        trace = simulate_concentration(psi, args.n, args.trials, seed=seed)
-    elif args.protocol == "dilute":
-        psi = _load_state(args.state, args.tolerance)
-        trace = simulate_dilution(psi, args.n, args.delta, seed=seed)
+    if args.protocol in ("concentrate", "dilute"):
+        psi = _pure(_load_state(args.state, args.tolerance),
+                    f"{args.protocol} takes a pure state")
+        if args.protocol == "concentrate":
+            trace = simulate_concentration(psi, args.n, args.trials,
+                                           seed=seed)
+        else:
+            trace = simulate_dilution(psi, args.n, args.delta, seed=seed)
     elif args.protocol == "form":
         rho = _as_density(_load_state(args.state, args.tolerance))
         trace = simulate_formation(rho, args.n, args.delta, args.delta2,
                                    seed=seed, trials=args.trials,
                                    restarts=args.restarts)
     else:  # cover
-        ensemble = Ensemble.from_dict(_load_json_file(args.state))
+        ensemble = _load(args.state, Ensemble.from_dict)
         report = covering_check(ensemble, args.n, args.subset_size,
                                 args.trials, seed=seed)
         summary = {"command": "simulate", "protocol": "cover", "seed": seed,
@@ -215,7 +239,10 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 4
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _build_parser(default_seed: str) -> argparse.ArgumentParser:
+    """The parser, built once per COHKIT_SEED value: building it costs more
+    than most subcommands, and parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cohkit",
         description="Operational coherence toolkit (all logarithms base 2).")
@@ -227,8 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("COHKIT_SEED", "0")))
+        # A string default goes through ``type``, so a bad COHKIT_SEED is a
+        # usage error rather than a traceback while the parser is built.
+        p.add_argument("--seed", type=int, default=default_seed)
         p.add_argument("--tolerance", type=_tolerance, default=None,
                        help="override state-validation tolerance "
                             "(within [1e-14, 1e-3])")
@@ -238,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--state", required=True)
     p.add_argument("--which", required=True, choices=["cr", "cf", "c"])
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_positive_int, default=32)
     p.add_argument("--variational", action="store_true",
                    help="also report the variational C_r cross-check")
     p.set_defaults(fn=_cmd_measure)
@@ -260,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--state", required=True)
     p.add_argument("--threshold", type=float, default=1e-10)
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_positive_int, default=32)
     p.set_defaults(fn=_cmd_reversibility)
 
     p = sub.add_parser("simulate", help="run a protocol simulation")
@@ -269,13 +297,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["concentrate", "dilute", "form", "cover"])
     p.add_argument("--state", required=True,
                    help="state JSON (ensemble JSON for cover)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--delta", type=float, default=0.02)
     p.add_argument("--delta2", type=float, default=0.01)
-    p.add_argument("--subset-size", type=int, default=16,
+    p.add_argument("--subset-size", type=_positive_int, default=16,
                    help="subset size S for the covering check")
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_positive_int, default=32)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
@@ -287,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(
+            os.environ.get("COHKIT_SEED", "0")).parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # argparse errors and parse failures
         code = exc.code

@@ -25,7 +25,8 @@ from .qstate import (
     BasisPartition,
     DensityMatrix,
     PureState,
-    _c2j,
+    _check_finite,
+    _complex_json,
     _j2c,
     DIM_CAP,
 )
@@ -52,6 +53,7 @@ class KrausOperator:
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2:
             raise InvariantViolationError("kraus_shape", f"ndim {m.ndim}")
+        _check_finite(m)
         m = m.copy()
         m.flags.writeable = False
         self.entries = m
@@ -83,9 +85,6 @@ class KrausOperator:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
-
-    def adjoint(self) -> "KrausOperator":
-        return KrausOperator(self.entries.conj().T)
 
 
 class IncoherentChannel:
@@ -126,13 +125,12 @@ class IncoherentChannel:
 
     def to_dict(self) -> dict:
         out = {"dim_in": self.dim_in, "dim_out": self.dim_out,
-               "kraus": [[[_c2j(z) for z in row] for row in k.entries]
-                         for k in self.kraus],
+               "kraus": _complex_json([k.entries for k in self.kraus]),
                "class": self.class_label}
         if all(k.j_map is not None for k in self.kraus):
             out["certificates"] = [
                 {"j": [int(j) for j in k.j_map],
-                 "c": [_c2j(z) for z in k.coefficients]}
+                 "c": _complex_json(k.coefficients)}
                 for k in self.kraus]
         if self.birkhoff is not None:
             out["birkhoff"] = [{"weight": float(w), "perm": [int(i) for i in p]}
@@ -156,58 +154,6 @@ class IncoherentChannel:
                         for b in data["birkhoff"]]
         return cls(ops, class_label=data.get("class", UNCLASSIFIED),
                    birkhoff=birkhoff)
-
-
-def _block_masses(k: np.ndarray, blocks_out, blocks_in) -> np.ndarray:
-    """Frobenius mass of each (output block, input block) sub-matrix."""
-    masses = np.zeros((len(blocks_out), len(blocks_in)))
-    for a, bo in enumerate(blocks_out):
-        for b, bi in enumerate(blocks_in):
-            sub = k[np.ix_(np.array(bo), np.array(bi))]
-            masses[a, b] = float(np.linalg.norm(sub))
-    return masses
-
-
-def kraus_is_incoherent(k: KrausOperator,
-                        partition: BasisPartition | None = None,
-                        tol: float = INCOHERENT_ENTRY_TOL):
-    """Whether K maps each basis block into a single block.
-
-    Returns (flag, j_map) where j_map[i] is the output block hit by input
-    block i (or -1 for blocks annihilated by K).  With the default singleton
-    partition this is the at-most-one-nonzero-per-column test.
-    """
-    m = k.entries
-    if partition is None:
-        j_map = np.full(k.cols, -1, dtype=int)
-        for i in range(k.cols):
-            nz = np.flatnonzero(np.abs(m[:, i]) > tol)
-            if nz.size > 1:
-                return False, None
-            if nz.size == 1:
-                j_map[i] = nz[0]
-        return True, j_map
-    blocks = partition.blocks
-    masses = _block_masses(m, blocks, blocks)
-    j_map = np.full(len(blocks), -1, dtype=int)
-    for b in range(len(blocks)):
-        hit = np.flatnonzero(masses[:, b] > tol)
-        if hit.size > 1:
-            return False, None
-        if hit.size == 1:
-            j_map[b] = hit[0]
-    return True, j_map
-
-
-def kraus_is_strictly_incoherent(k: KrausOperator,
-                                 partition: BasisPartition | None = None,
-                                 tol: float = INCOHERENT_ENTRY_TOL) -> bool:
-    """K and K^dag both incoherent, i.e. j one-to-one on the support."""
-    ok, _ = kraus_is_incoherent(k, partition, tol)
-    if not ok:
-        return False
-    ok_adj, _ = kraus_is_incoherent(k.adjoint(), partition, tol)
-    return ok_adj
 
 
 def apply_channel(ch: IncoherentChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -240,47 +186,70 @@ def apply_selective(ch: IncoherentChannel, rho: DensityMatrix,
     return outcomes
 
 
+def _block_support(kraus: np.ndarray,
+                   partition: BasisPartition | None) -> np.ndarray:
+    """Which (output block, input block) pairs each Kraus operator connects.
+
+    ``kraus`` is the stacked (k, d_out, d_in) array; the result is a boolean
+    (k, output blocks, input blocks) tensor.  Without a partition every basis
+    index is a block and the test is |K_ij| > INCOHERENT_ENTRY_TOL; with one,
+    a pair's mass is the Frobenius norm of its sub-matrix, sqrt(P^T |K|^2 P)
+    with P the block-indicator matrix.
+    """
+    if partition is None:
+        return np.abs(kraus) > INCOHERENT_ENTRY_TOL
+    indicator = np.zeros((partition.dim, len(partition.blocks)))
+    for b, block in enumerate(partition.blocks):
+        indicator[list(block), b] = 1.0
+    mass = np.sqrt(indicator.T @ np.abs(kraus) ** 2 @ indicator)
+    return mass > INCOHERENT_ENTRY_TOL
+
+
 def classify_channel(ch: IncoherentChannel,
                      partition: BasisPartition | None = None) -> str:
     """Classify the channel within the free-operation hierarchy.
 
     strictly_incoherent and incoherent are representation-dependent tests on
-    the given Kraus set; non_coherence_generating is the representation-free
-    test that the channel preserves the (block-)diagonal operator subspace.
+    the given Kraus set: every operator sends each input block into at most
+    one output block, and (strictly) draws each output block from at most one
+    input block.  non_coherence_generating is the representation-free test
+    that the channel preserves the (block-)diagonal operator subspace.
     """
-    if partition is not None and partition.dim != ch.dim_in:
+    if partition is not None and not (
+            partition.dim == ch.dim_in == ch.dim_out):
         raise DimensionMismatchError(
-            f"partition dim {partition.dim} != channel dim {ch.dim_in}")
-    flags = [kraus_is_incoherent(k, partition)[0] for k in ch.kraus]
-    if all(flags):
-        if all(kraus_is_strictly_incoherent(k, partition) for k in ch.kraus):
+            f"partition dim {partition.dim} != channel dims "
+            f"{ch.dim_out} x {ch.dim_in}")
+    kraus = np.stack([k.entries for k in ch.kraus])
+    support = _block_support(kraus, partition)
+    if np.all(support.sum(axis=1) <= 1):
+        if np.all(support.sum(axis=2) <= 1):
             return STRICTLY_INCOHERENT
         return INCOHERENT
-    if _preserves_diagonal_subspace(ch, partition):
+    if _preserves_diagonal_subspace(kraus, partition):
         return NON_COHERENCE_GENERATING
     return UNCLASSIFIED
 
 
-def _preserves_diagonal_subspace(ch: IncoherentChannel,
+def _preserves_diagonal_subspace(kraus: np.ndarray,
                                  partition: BasisPartition | None,
                                  tol: float = 1e-10) -> bool:
-    d = ch.dim_in
+    d_out, d_in = kraus.shape[1:]
     if partition is None:
-        partition = BasisPartition.singleton(d)
-    out_mask = partition.mask() if ch.dim_out == d else None
-    if out_mask is None:
-        # Rectangular channels are compared against the singleton output grid.
-        out_mask = np.eye(ch.dim_out, dtype=bool)
-    for block in partition.blocks:
+        blocks = [(i,) for i in range(d_in)]
+        off_block = ~np.eye(d_out, dtype=bool)
+    else:
+        blocks = partition.blocks
+        off_block = ~partition.mask()
+    conj = kraus.conj()
+    for block in blocks:
+        cols = conj[:, :, list(block)]
         for a in block:
-            for b in block:
-                basis_op = np.zeros((d, d), dtype=complex)
-                basis_op[a, b] = 1.0
-                image = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-                for k in ch.kraus:
-                    image += k.entries @ basis_op @ k.entries.conj().T
-                if float(np.max(np.abs(image[~out_mask]))) > tol:
-                    return False
+            # Images of |a><b| for every b in the block:
+            # sum_l K_l[:, a] K_l[:, b]^dag.
+            images = np.einsum("li,ljb->bij", kraus[:, :, a], cols)
+            if np.any(np.abs(images[:, off_block]) > tol):
+                return False
     return True
 
 

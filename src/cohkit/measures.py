@@ -25,10 +25,12 @@ from .qstate import (
     LN2,
     DensityMatrix,
     PureState,
+    _check_finite,
     binary_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
+from .rand import random_isometry, rng_for
 
 COHERENT_TOL = 1e-9
 WEIGHT_PRUNE_TOL = 1e-12
@@ -96,6 +98,7 @@ class Ensemble:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        _check_finite(w)
         if np.any(w < -1e-12):
             raise InvariantViolationError("ensemble_weights", "negative weight")
         if abs(float(w.sum()) - 1.0) > 1e-10:
@@ -251,8 +254,6 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
     two best restarts agree within 1e-6.  The reported value is an upper
     bound; no global optimality is certified.
     """
-    from .rand import random_isometry, rng_for  # rand imports this module
-
     d = rho.dim
     factor = _spectral_factor(rho)
     r = factor.shape[1]

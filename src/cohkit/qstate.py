@@ -116,7 +116,7 @@ class DensityMatrix:
 
     def to_dict(self) -> dict:
         return {"dim": self.dim,
-                "matrix": [[_c2j(z) for z in row] for row in self._matrix]}
+                "matrix": _complex_json(self._matrix)}
 
     @classmethod
     def from_dict(cls, data: dict, **kwargs) -> "DensityMatrix":
@@ -179,7 +179,7 @@ class PureState:
 
     def to_dict(self) -> dict:
         return {"dim": self.dim,
-                "amplitudes": [_c2j(z) for z in self._amplitudes]}
+                "amplitudes": _complex_json(self._amplitudes)}
 
     @classmethod
     def from_dict(cls, data: dict, **kwargs) -> "PureState":
@@ -370,8 +370,14 @@ def tensor_pure(a: PureState, b: PureState, cap: int = DIM_CAP) -> PureState:
 
 # -- JSON helpers -------------------------------------------------------------
 
-def _c2j(z: complex) -> dict:
-    return {"re": float(np.real(z)), "im": float(np.imag(z))}
+def _complex_json(a) -> list:
+    """Nested lists of {"re", "im"} objects with the shape of array ``a``."""
+    def pair(re, im):
+        if isinstance(re, list):
+            return [pair(r, i) for r, i in zip(re, im)]
+        return {"re": re, "im": im}
+    a = np.asarray(a, dtype=complex)
+    return pair(a.real.tolist(), a.imag.tolist())
 
 
 def _j2c(obj) -> complex:

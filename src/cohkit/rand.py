@@ -1,4 +1,4 @@
-"""Seeded random generators for states, ensembles and incoherent channels.
+"""Seeded random generators for states, partitions and incoherent channels.
 
 Everything runs off ``numpy.random.Generator`` (PCG64).  Functions take an
 explicit generator or integer seed so that tests and the selftest suite are
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .incoherent import IncoherentChannel, KrausOperator
-from .measures import Ensemble
 from .qstate import DensityMatrix, PureState
 
 RNG_NAME = "pcg64"
@@ -25,16 +24,6 @@ def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
-
-
-def random_unitary(d: int, rng) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    rng = _as_rng(rng)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
 
 
 def random_isometry(m: int, r: int, rng) -> np.ndarray:
@@ -66,13 +55,6 @@ def random_probability_vector(d: int, rng) -> np.ndarray:
     rng = _as_rng(rng)
     p = rng.dirichlet(np.ones(d))
     return p / p.sum()
-
-
-def random_ensemble(d: int, size: int, rng) -> Ensemble:
-    rng = _as_rng(rng)
-    weights = random_probability_vector(size, rng)
-    members = [random_pure_state(d, rng) for _ in range(size)]
-    return Ensemble(weights, members)
 
 
 def random_partition(d: int, rng, min_blocks: int = 2) -> list[list[int]]:

@@ -89,6 +89,22 @@ def test_concentration_deterministic_per_seed():
     assert a.rates == b.rates
 
 
+@pytest.mark.parametrize("amps, n, trials", [
+    ([0.9, 0.1], 1000, 10),
+    ([0.5, 0.3, 0.2], 777, 7),
+    ([0.4, 0.0, 0.3, 0.3], 50, 3),
+])
+def test_concentration_trials_are_type_measurements(amps, n, trials):
+    # Trial t is the type measurement drawn from rng_for(seed, t), bit for bit.
+    psi = ck.PureState(np.sqrt(amps).astype(complex))
+    trace = ck.simulate_concentration(psi, n, trials, seed=4)
+    expected = [ck.type_measurement(psi.probabilities(), n,
+                                    rand.rng_for(4, t)).achieved_rate
+                for t in range(trials)]
+    assert trace.rates == expected
+    assert all(type(r) is float for r in trace.rates)
+
+
 # -- typical sets -------------------------------------------------------------------
 
 def brute_typical_probability(probs, n, delta):

@@ -122,6 +122,73 @@ def test_partition_file_as_state_is_exit_2(capsys, files, extra):
     assert json.loads(err)["invariant"] == "json_schema"
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param({"dim": 2, "matrix": 5}, id="matrix-not-a-list"),
+    pytest.param({"dim": 2, "amplitudes": [None, {"re": 1.0, "im": 0.0}]},
+                 id="null-amplitude"),
+    pytest.param({"matrix": [[1]]}, id="missing-dim"),
+])
+def test_wrong_typed_state_field_is_exit_2(capsys, files, content):
+    path = files["dir"] / "state.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, ["measure", "--state", str(path),
+                                  "--which", "cr"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["invariant"] == "json_schema"
+
+
+def test_non_object_channel_file_is_exit_2(capsys, files):
+    path = files["dir"] / "list.json"
+    path.write_text("[1, 2]")
+    code, _, err = run(capsys, ["classify", "--channel", str(path)])
+    assert code == 2
+    assert json.loads(err)["invariant"] == "json_schema"
+
+
+def test_nan_ensemble_weight_is_exit_2(capsys, files):
+    path = files["dir"] / "nan_ensemble.json"
+    data = json.loads((files["dir"] / "ensemble.json").read_text())
+    data["weights"] = [math.nan, 1.0]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["simulate", "cover", "--state", str(path),
+                                  "--n", "6", "--subset-size", "4",
+                                  "--trials", "1"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["invariant"] == "finite"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "concentrate", "--state", "@target",
+                  "--n", "0"], id="concentrate-n"),
+    pytest.param(["simulate", "form", "--state", "@rho", "--n", "0"],
+                 id="form-n"),
+    pytest.param(["simulate", "concentrate", "--state", "@target",
+                  "--n", "100", "--trials", "0"], id="trials"),
+    pytest.param(["measure", "--state", "@rho", "--which", "cf",
+                  "--restarts", "0"], id="restarts"),
+    pytest.param(["simulate", "cover", "--state", "@ensemble", "--n", "6",
+                  "--subset-size", "0"], id="subset-size"),
+])
+def test_count_argument_below_one_is_exit_2(capsys, files, argv):
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2  # argparse rejects it, as it does a bad --tolerance
+    assert out == ""
+    assert "0 is not >= 1" in err
+
+
+@pytest.mark.parametrize("protocol", ["concentrate", "dilute"])
+def test_simulate_pure_protocol_rejects_density_matrix(capsys, files,
+                                                       protocol):
+    code, out, err = run(capsys, ["simulate", protocol, "--state",
+                                  files["rho"], "--n", "100"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["invariant"] == "pure_state"
+
+
 def test_impossible_transform_is_exit_3(capsys, files):
     code, _, err = run(capsys, ["transform", "--source", files["target"],
                                 "--target", files["phi2"]])
@@ -150,6 +217,19 @@ def test_transform_writes_loadable_channel(capsys, files):
     code2, out2, _ = run(capsys, ["classify", "--channel", out_path])
     assert code2 == 0
     assert json.loads(out2)["class"] == "strictly_incoherent"
+
+
+def test_classify_partition_dimension_mismatch_is_exit_2(capsys, files):
+    rect = files["dir"] / "rect.json"
+    save_json(ck.IncoherentChannel([np.array([[1.0, 0.0]]),
+                                    np.array([[0.0, 1.0]])]).to_dict(), rect)
+    part = files["dir"] / "part2.json"
+    save_json(ck.BasisPartition(2, [[0], [1]]).to_dict(), part)
+    code, out, err = run(capsys, ["classify", "--channel", str(rect),
+                                  "--partition", str(part)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "DimensionMismatchError"
 
 
 # -- simulate -------------------------------------------------------------------------------
@@ -238,6 +318,27 @@ def test_env_seed_fallback(capsys, files, monkeypatch):
     code, out, _ = run(capsys, ["measure", "--state", files["phi2"],
                                 "--which", "cr"])
     assert json.loads(out)["seed"] == 77
+
+
+def test_env_seed_change_between_calls(capsys, files, monkeypatch):
+    # The parser is built once per COHKIT_SEED value, not once per process.
+    argv = ["measure", "--state", files["phi2"], "--which", "cr"]
+    seeds = []
+    for value in ("5", "6", "5"):
+        monkeypatch.setenv("COHKIT_SEED", value)
+        seeds.append(json.loads(run(capsys, argv)[1])["seed"])
+    monkeypatch.delenv("COHKIT_SEED")
+    seeds.append(json.loads(run(capsys, argv)[1])["seed"])
+    assert seeds == [5, 6, 5, 0]
+
+
+def test_bad_env_seed_is_usage_error(capsys, files, monkeypatch):
+    monkeypatch.setenv("COHKIT_SEED", "abc")
+    code, out, err = run(capsys, ["measure", "--state", files["phi2"],
+                                  "--which", "cr"])
+    assert code == 2
+    assert out == ""
+    assert "invalid int value: 'abc'" in err
 
 
 def test_tolerance_flag_range(capsys, files):

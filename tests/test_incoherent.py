@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import cohkit as ck
 from cohkit import rand
 from cohkit.errors import (
+    DimensionMismatchError,
     InvariantViolationError,
     TransformationImpossibleError,
 )
@@ -16,11 +18,22 @@ from cohkit.incoherent import (
     UNCLASSIFIED,
     IncoherentChannel,
     KrausOperator,
+    _caratheodory_reduce,
+    _perm_matrix,
 )
 
 from conftest import h2
 
 S2 = 1.0 / math.sqrt(2.0)
+H = np.array([[S2, S2], [S2, -S2]], dtype=complex)
+Z = np.diag([1.0, -1.0]).astype(complex)
+I2 = np.eye(2, dtype=complex)
+# np.kron(outer, inner) acts as ``outer`` on the blocks {0, 1} and {2, 3}.
+TWO_BLOCKS = ck.BasisPartition(4, [[0, 1], [2, 3]])
+# |0><+| completed by |1><-|: incoherent, not strictly (both inputs to |0>).
+BRA_PLUS = [np.array([[S2, S2], [0, 0]]), np.array([[0, 0], [S2, -S2]])]
+TWIRLED_H = [0.5 * p @ H @ q for p in (I2, Z) for q in (I2, Z)]
+RECTANGULAR = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
 
 
 # -- Kraus operators and channels ------------------------------------------------
@@ -35,6 +48,15 @@ def test_certificate_rejected_on_mismatch():
     m = np.array([[0.1, 0.6], [0.8, 0.0]], dtype=complex)
     with pytest.raises(InvariantViolationError):
         KrausOperator(m, j_map=[1, 0], coefficients=[0.8, 0.6])
+
+
+def test_kraus_rejects_non_finite_entries():
+    # NaN passes the completeness check (NaN > atol is False), so it is
+    # rejected on its own before it can be classified.
+    m = np.array([[1.0, math.nan], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(InvariantViolationError) as err:
+        IncoherentChannel([m])
+    assert err.value.invariant == "finite"
 
 
 def test_channel_completeness_enforced():
@@ -104,6 +126,27 @@ def test_classification_against_block_partition():
     part = ck.BasisPartition(4, [[0, 1], [2, 3]])
     assert ck.classify_channel(ch) == UNCLASSIFIED
     assert ck.classify_channel(ch, part) == STRICTLY_INCOHERENT
+
+
+@pytest.mark.parametrize("kraus, partition, expected", [
+    pytest.param([np.kron(k, H) for k in BRA_PLUS], TWO_BLOCKS, INCOHERENT,
+                 id="partition-incoherent"),
+    pytest.param([np.kron(k, I2) for k in TWIRLED_H], TWO_BLOCKS,
+                 NON_COHERENCE_GENERATING, id="partition-ncg"),
+    pytest.param([np.kron(H, I2)], TWO_BLOCKS, UNCLASSIFIED,
+                 id="partition-unclassified"),
+    pytest.param(RECTANGULAR, None, STRICTLY_INCOHERENT,
+                 id="rectangular"),
+    pytest.param(RECTANGULAR, ck.BasisPartition(2, [[0], [1]]),
+                 DimensionMismatchError, id="rectangular-partition"),
+])
+def test_classification_cases(kraus, partition, expected):
+    ch = IncoherentChannel(kraus)
+    if expected is DimensionMismatchError:
+        with pytest.raises(DimensionMismatchError):
+            ck.classify_channel(ch, partition)
+    else:
+        assert ck.classify_channel(ch, partition) == expected
 
 
 # -- application ---------------------------------------------------------------------
@@ -205,6 +248,20 @@ def test_birkhoff_witness_properties(rng):
         assert np.allclose(w.bistochastic.sum(axis=0), 1.0, atol=1e-9)
         assert np.allclose(w.bistochastic.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(w.bistochastic >= -1e-12)
+
+
+def test_caratheodory_reduce_keeps_matrix():
+    # Greedy Birkhoff stays within (d-1)^2 + 1 terms in practice, so the
+    # pruning is exercised directly: all 6 permutations of d = 3 span only a
+    # 5-dimensional affine hull.
+    d = 3
+    terms = [(1.0 / 6.0, np.array(p)) for p in itertools.permutations(range(d))]
+    reduced = _caratheodory_reduce(terms, d, (d - 1) ** 2 + 1)
+    assert len(reduced) <= (d - 1) ** 2 + 1
+    assert all(w > 0 for w, _ in reduced)
+    assert abs(sum(w for w, _ in reduced) - 1.0) <= 1e-12
+    recon = sum(w * _perm_matrix(p, d) for w, p in reduced)
+    assert np.allclose(recon, np.full((d, d), 1.0 / d), atol=1e-12)
 
 
 # -- synthesis ----------------------------------------------------------------------------
