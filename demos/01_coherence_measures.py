@@ -22,7 +22,7 @@ print(f"C_r  (simplex optimization)     = {variational:.6f}  "
 
 roof = ck.coherence_of_formation(rho, restarts=16, seed=0)
 print(f"C_f  (preparation cost, upper)  = {roof.value:.6f} bits/copy  "
-      f"(converged: {roof.converged})")
+      f"(converged: {roof.converged}, certified: {roof.certified})")
 print(f"C_f  (qubit closed form)        = "
       f"{ck.coherence_of_formation_qubit(rho):.6f}")
 

@@ -7,7 +7,8 @@ missing or wrong-typed field is the invariant violation ``json_schema``.
 The count arguments ``--n``, ``--trials``, ``--restarts`` and
 ``--subset-size`` must be integers >= 1.  Identical (arguments, seed) pairs
 produce byte-identical reports; every report records the seed and all
-numbers are emitted at full double precision.
+numbers are emitted at full double precision.  Reports, error objects and
+output files are compact JSON with sorted keys.
 """
 
 from __future__ import annotations
@@ -45,7 +46,13 @@ from .measures import (
     relative_entropy_of_coherence,
     relative_entropy_of_coherence_variational,
 )
-from .qstate import BasisPartition, PureState, save_json, state_from_dict
+from .qstate import (
+    BasisPartition,
+    PureState,
+    dumps_json,
+    save_json,
+    state_from_dict,
+)
 from .rand import RNG_NAME
 from .reversibility import is_reversible
 from .selftest import run_selftest
@@ -109,7 +116,7 @@ def _pure(state, detail: str) -> PureState:
 
 
 def _emit(report: dict, out_path: str | None):
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(dumps_json(report))
     if out_path:
         save_json(report, out_path)
 
@@ -136,11 +143,7 @@ def _cmd_measure(args) -> int:
     elif args.which == "cf":
         result = coherence_of_formation(_as_density(state),
                                         restarts=args.restarts, seed=args.seed)
-        report["value"] = result.value
-        report["bound_kind"] = "upper"
-        report["converged"] = result.converged
-        report["restarts"] = result.restarts
-        report["ensemble"] = result.ensemble.to_dict()
+        report.update(result.to_dict())
     report[args.which] = report["value"]
     _emit(report, args.out)
     return 0
@@ -325,17 +328,16 @@ def main(argv=None) -> int:
         report = {"error": "transformation_impossible", "detail": str(exc)}
         if exc.witness is not None:
             report["witness"] = exc.witness.to_dict()
-        print(json.dumps(report, indent=2, sort_keys=True), file=sys.stderr)
+        print(dumps_json(report), file=sys.stderr)
         return 3
     except InvariantViolationError as exc:
-        print(json.dumps({"error": "invariant_violation",
+        print(dumps_json({"error": "invariant_violation",
                           "invariant": exc.invariant,
-                          "detail": exc.detail}, indent=2, sort_keys=True),
-              file=sys.stderr)
+                          "detail": exc.detail}), file=sys.stderr)
         return 2
     except CohkitError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
-                         indent=2, sort_keys=True), file=sys.stderr)
+        print(dumps_json({"error": type(exc).__name__, "detail": str(exc)}),
+              file=sys.stderr)
         return 2
 
 

@@ -281,6 +281,7 @@ class MajorizationWitness:
 
 
 def _check_probability_vector(p: np.ndarray, name: str, atol: float):
+    _check_finite(p)
     if np.any(p < -atol):
         raise InvariantViolationError(name, "negative entry")
     if abs(float(p.sum()) - 1.0) > atol:

@@ -3,8 +3,8 @@
 continuity bounds and mixed-state conversion-rate bounds.
 
 The coherence of formation is a convex-roof minimization; the optimizer below
-reports certified upper bounds only (with restart diagnostics), never claimed
-exact values.
+reports an upper bound together with C_r, the lower side of the bracket, and
+claims an exact value only when it reaches that lower bound.
 """
 
 from __future__ import annotations
@@ -34,6 +34,19 @@ from .rand import random_isometry, rng_for
 
 COHERENT_TOL = 1e-9
 WEIGHT_PRUNE_TOL = 1e-12
+# Roof optimizer: L-BFGS memory, eigenvalue floor of the preconditioner,
+# squared-gradient and stall stops, Armijo constant, smallest backtracking
+# step, iteration cap, and the distance above C_r at which a restart's value
+# is a certified optimum.
+LBFGS_MEMORY = 8
+PRECOND_FLOOR = 1e-4
+GRAD_TOL = 1e-14
+STALL_TOL = 1e-15
+STALL_ITERS = 3
+ARMIJO = 1e-4
+MIN_STEP = 1e-10
+MAX_ITER = 1000
+CERTIFY_TOL = 1e-12
 
 
 def entropy_of_coherence(psi: PureState) -> float:
@@ -144,16 +157,21 @@ class Ensemble:
 
 @dataclass
 class ConvexRoofResult:
-    """Best ensemble found by the roof optimizer; ``value`` is an upper bound."""
+    """Best ensemble found by the roof optimizer; ``value`` is an upper bound
+    and ``lower_bound`` (C_r) the other side of the bracket.  ``certified``
+    means a restart reached the lower bound, so ``value`` is the optimum."""
     value: float
     ensemble: Ensemble
     restarts: int
     converged: bool
+    lower_bound: float
+    certified: bool
 
     def to_dict(self) -> dict:
         return {"value": self.value, "ensemble": self.ensemble.to_dict(),
                 "restarts": self.restarts, "converged": self.converged,
-                "bound_kind": "upper"}
+                "bound_kind": "upper", "lower_bound": self.lower_bound,
+                "certified": self.certified}
 
 
 def _roof_value_grad(u: np.ndarray, factor: np.ndarray):
@@ -184,32 +202,110 @@ def _polar(m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def _descend(u: np.ndarray, factor: np.ndarray, maxiter: int = 300):
-    """Projected gradient descent on the isometry manifold with backtracking."""
+def _tangent(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Projection g - U sym(U^H g) onto the tangent space at the isometry u."""
+    sym = u.conj().T @ g
+    return g - u @ (0.5 * (sym + sym.conj().T))
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Real inner product Re tr(a^H b) of the ambient space."""
+    return np.vdot(a, b).real
+
+
+def _spectral_preconditioner(factor: np.ndarray):
+    """Model of the inverse curvature of the roof on the tangent space at u.
+
+    Moving the isometry by dU moves the ensemble ``factor @ U.T`` by
+    ``factor @ dU.T``, and column j of ``factor`` has squared norm lambda_j,
+    an eigenvalue of rho.  So a rotation U A (A skew-Hermitian) weighs entry
+    A_jk by (lambda_j + lambda_k) / 2, and a component B outside the range
+    of U weighs its column k by lambda_k.  Dividing by these weights (each
+    eigenvalue floored at ``PRECOND_FLOOR``) undoes the spread of rho's
+    spectrum, which otherwise slows the descent by up to a factor of
+    lambda_max / lambda_min.
+    """
+    lam = np.sum(np.abs(factor) ** 2, axis=0) + PRECOND_FLOOR
+    pair = 2.0 / (lam[:, None] + lam[None, :])
+
+    def apply(u: np.ndarray, q: np.ndarray) -> np.ndarray:
+        a = u.conj().T @ q
+        return u @ (0.5 * (a - a.conj().T) * pair) + (q - u @ a) / lam
+
+    return apply
+
+
+def _two_loop(u, xi, s_mem, y_mem, inv_sy, precondition) -> np.ndarray:
+    """L-BFGS product H xi from the stacked pairs (oldest first), with
+    H0 = gamma * precondition; without pairs the step has length <= 1."""
+    k = inv_sy.size
+    q = xi.copy()
+    alpha = np.empty(k)
+    for i in range(k - 1, -1, -1):
+        alpha[i] = inv_sy[i] * _inner(s_mem[i], q)
+        q -= alpha[i] * y_mem[i]
+    q = precondition(u, q)
+    if k:
+        q /= inv_sy[-1] * _inner(y_mem[-1], precondition(u, y_mem[-1]))
+    else:
+        q /= max(1.0, math.sqrt(_inner(q, q)))
+    for i in range(k):
+        q += (alpha[i] - inv_sy[i] * _inner(y_mem[i], q)) * s_mem[i]
+    return q
+
+
+def _lbfgs(u: np.ndarray, factor: np.ndarray, target: float):
+    """Riemannian L-BFGS on the m x r isometries, from the start ``u``.
+
+    The memory pairs (s, y) are ambient differences of successive points and
+    of their Riemannian gradients; only the search direction is projected
+    onto the tangent space.  Steps are retracted by the polar factor and
+    found by Armijo backtracking from t = 1.  Stops when the squared
+    gradient norm falls below ``GRAD_TOL``, when the value reaches
+    ``target``, after ``STALL_ITERS`` steps in a row that gain at most
+    ``STALL_TOL``, or when backtracking fails.
+    """
+    precondition = _spectral_preconditioner(factor)
     f, g = _roof_value_grad(u, factor)
-    step = 1.0
+    xi = _tangent(u, g)
+    s_mem = np.empty((LBFGS_MEMORY,) + u.shape, dtype=complex)
+    y_mem = np.empty_like(s_mem)
+    inv_sy = np.empty(LBFGS_MEMORY)
+    count = 0
     stall = 0
-    for _ in range(maxiter):
-        sym = u.conj().T @ g
-        xi = g - u @ (0.5 * (sym + sym.conj().T))
-        slope = float(np.real(np.sum(xi.conj() * xi)))
-        if slope < 1e-18:
+    for _ in range(MAX_ITER):
+        if f <= target or _inner(xi, xi) < GRAD_TOL:
             break
-        accepted = False
-        t = step
-        while t > 1e-14:
-            u_new = _polar(u - t * xi)
+        while True:
+            direction = -_tangent(u, _two_loop(
+                u, xi, s_mem[:count], y_mem[:count], inv_sy[:count],
+                precondition))
+            slope = _inner(xi, direction)
+            if slope < 0.0 or count == 0:
+                break
+            count = 0  # the memory lost descent: forget it
+        t = 1.0
+        while True:
+            u_new = _polar(u + t * direction)
             f_new, g_new = _roof_value_grad(u_new, factor)
-            if f_new <= f - 1e-4 * t * slope:
-                accepted = True
+            if f_new <= f + ARMIJO * t * slope:
                 break
             t *= 0.5
-        if not accepted:
-            break
-        stall = stall + 1 if f - f_new < 1e-12 else 0
-        u, f, g = u_new, f_new, g_new
-        step = min(4.0, t * 2.0)
-        if stall >= 3:
+            if t < MIN_STEP:
+                return f, u
+        xi_new = _tangent(u_new, g_new)
+        s, y = u_new - u, xi_new - xi
+        sy = _inner(s, y)
+        if sy > 0.0:
+            if count == LBFGS_MEMORY:  # drop the oldest pair
+                for mem in (s_mem, y_mem, inv_sy):
+                    mem[:-1] = mem[1:]
+                count -= 1
+            s_mem[count], y_mem[count], inv_sy[count] = s, y, 1.0 / sy
+            count += 1
+        stall = stall + 1 if f - f_new <= STALL_TOL else 0
+        u, f, xi = u_new, f_new, xi_new
+        if stall >= STALL_ITERS:
             break
     return f, u
 
@@ -248,39 +344,49 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
                            seed: int = 0) -> ConvexRoofResult:
     """Convex-roof upper bound on the coherence of formation.
 
-    Ensembles of rho are parameterized by m x r isometries mixing the spectral
-    square root (every decomposition arises this way); m is capped at d^2.
-    Random-restart projected gradient descent; ``converged`` is set when the
-    two best restarts agree within 1e-6.  The reported value is an upper
-    bound; no global optimality is certified.
+    Ensembles of rho are parameterized by m x r isometries mixing the
+    spectral square root (every decomposition arises this way).  m cycles
+    through r, 2r and r^2, capped by ``max_ensemble``: by Caratheodory's
+    theorem a rank-r state needs at most r^2 members.  Restart k starts
+    from ``random_isometry(m, r, rng_for(seed, k))`` and runs Riemannian
+    L-BFGS, preconditioned by the spectrum of rho (polar retraction, Armijo
+    backtracking from t = 1), until the squared gradient norm falls below
+    1e-14, progress stalls, or the value comes within 1e-12 of C_r.  Since C_r <= C_f, that last stop certifies
+    the optimum: ``certified`` is set and the remaining restarts are
+    skipped, so ``restarts`` counts the restarts run.  ``converged`` is set
+    when the optimum is certified or the two best restarts agree within
+    1e-6.  Otherwise the value is an upper bound and C_r (``lower_bound``)
+    the other side of the bracket.
     """
-    d = rho.dim
+    restarts = int(restarts)
+    if restarts < 1:
+        raise ValueError(f"restarts {restarts} < 1")
     factor = _spectral_factor(rho)
     r = factor.shape[1]
-    cap = d * d if max_ensemble is None else min(int(max_ensemble), d * d)
+    cap = r * r if max_ensemble is None else min(int(max_ensemble), r * r)
     cap = max(cap, r)
     sizes = sorted({r, min(2 * r, cap), cap})
-    restarts = max(1, int(restarts))
+    lower = relative_entropy_of_coherence(rho)
+    target = lower + CERTIFY_TOL
 
     results = []
     for k in range(restarts):
         m = sizes[k % len(sizes)]
-        if k == 0:
-            u0 = np.zeros((m, r), dtype=complex)
-            u0[:r, :r] = np.eye(r)
-        else:
-            u0 = random_isometry(m, r, rng_for(seed, k))
-        f, u = _descend(u0, factor)
-        results.append((f, m, k, u))
+        f, u = _lbfgs(random_isometry(m, r, rng_for(seed, k)), factor, target)
+        results.append((f, k, u))
+        if f <= target:
+            break
+    certified = results[-1][0] <= target
 
     values = sorted(res[0] for res in results)
     best_value = values[0]
-    converged = len(values) >= 2 and (values[1] - values[0]) <= 1e-6
+    converged = certified or (
+        len(values) >= 2 and (values[1] - values[0]) <= 1e-6)
     # Tie-break equal-value restarts toward the smallest pruned ensemble.
     candidates = [res for res in results if res[0] <= best_value + 1e-9]
     best_ens = None
     best_key = None
-    for f, m, k, u in candidates:
+    for f, k, u in candidates:
         ens = _ensemble_from_isometry(u, factor)
         key = (ens.size, k)
         if best_key is None or key < best_key:
@@ -288,7 +394,8 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
             best_ens = ens
     value = best_ens.average_coherence()
     return ConvexRoofResult(value=value, ensemble=best_ens,
-                            restarts=restarts, converged=converged)
+                            restarts=len(results), converged=converged,
+                            lower_bound=lower, certified=certified)
 
 
 def coherence_of_formation_qubit(rho: DensityMatrix) -> float:

@@ -386,10 +386,16 @@ def _j2c(obj) -> complex:
     return complex(obj)
 
 
+def dumps_json(obj) -> str:
+    """Compact JSON with sorted keys: the one encoding of every report and
+    file.  Without ``indent`` (and through ``dumps``, not ``dump``) CPython
+    uses its C encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def save_json(obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps_json(obj) + "\n")
 
 
 def state_from_dict(data: dict, **kwargs):

@@ -69,6 +69,45 @@ def test_measure_cf_reports_ensemble(capsys, files):
         report["ensemble"]["weights"])
 
 
+def test_measure_cf_reports_bracket(capsys, files):
+    # A pure state's roof is certified at once: its value meets C_r.
+    code, out, _ = run(capsys, ["measure", "--state", files["phi2"],
+                                "--which", "cf"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["certified"] and report["converged"]
+    assert report["restarts"] == 1
+    assert np.isclose(report["lower_bound"], 1.0, atol=1e-12)
+    assert abs(report["value"] - report["lower_bound"]) <= 1e-12
+    # The mixed qubit has C_r < C_f, so nothing certifies it.
+    code, out, _ = run(capsys, ["measure", "--state", files["rho"],
+                                "--which", "cf", "--restarts", "4"])
+    report = json.loads(out)
+    rho = ck.DensityMatrix([[0.5, 0.3], [0.3, 0.5]])
+    assert report["lower_bound"] == ck.relative_entropy_of_coherence(rho)
+    assert report["value"] > report["lower_bound"]
+    assert not report["certified"]
+    assert report["restarts"] == 4
+
+
+def compact(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
+def test_json_output_is_compact_and_sorted(capsys, files):
+    out_path = files["dir"] / "report.json"
+    code, out, _ = run(capsys, ["measure", "--state", files["rho"],
+                                "--which", "cf", "--restarts", "2",
+                                "--out", str(out_path)])
+    assert code == 0
+    assert out == compact(out) == out_path.read_text()
+    code, _, err = run(capsys, ["measure", "--state", files["rho"],
+                                "--which", "c"])
+    assert code == 2
+    assert err == compact(err)
+
+
 def test_measure_emits_full_precision(capsys, files):
     code, out, _ = run(capsys, ["measure", "--state", files["rho"],
                                 "--which", "cr"])

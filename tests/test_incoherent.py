@@ -230,6 +230,18 @@ def test_majorization_rejects_non_probability():
         ck.majorization_check([0.7, 0.4], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("p, q", [
+    ([math.nan, 0.5, 0.5], [0.5, 0.5, 0.0]),
+    ([0.5, 0.5, 0.0], [0.5, 0.5, math.nan]),
+    ([math.inf, 0.5], [0.5, 0.5]),
+], ids=["nan-target", "nan-source", "inf"])
+def test_majorization_rejects_non_finite(p, q):
+    # abs(nan - 1) > atol is False, so only the finiteness check catches it.
+    with pytest.raises(InvariantViolationError) as exc:
+        ck.majorization_check(p, q)
+    assert exc.value.invariant == "finite"
+
+
 def test_birkhoff_witness_properties(rng):
     for _ in range(40):
         d = int(rng.integers(2, 8))

@@ -171,6 +171,103 @@ def test_cf_converged_flag_and_determinism():
         assert np.array_equal(ma.amplitudes, mb.amplitudes)
 
 
+def test_cf_single_restart_leaves_eigen_ensemble():
+    # The eigen-ensemble of QUBIT is a stationary point at value 1.0; a lone
+    # random restart must still find the closed form h(0.9) = 0.469.
+    res = ck.coherence_of_formation(QUBIT, restarts=1, seed=0)
+    assert res.restarts == 1
+    assert abs(res.value - ck.coherence_of_formation_qubit(QUBIT)) <= 5e-3
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_cf_rejects_restarts_below_one(restarts):
+    with pytest.raises(ValueError):
+        ck.coherence_of_formation(QUBIT, restarts=restarts)
+
+
+def test_cf_certified_on_reversible_states(rng):
+    # C_f = C_r exactly on pure and block-pure states, so the first restart
+    # certifies the optimum and the others are skipped.
+    states = [rand.random_pure_state(int(rng.integers(2, 7)), rng).to_density()
+              for _ in range(3)]
+    states += [rand.random_block_state(int(rng.integers(3, 7)), rng)[0]
+               for _ in range(5)]
+    for rho in states:
+        res = ck.coherence_of_formation(rho, restarts=8, seed=0)
+        cr = ck.relative_entropy_of_coherence(rho)
+        assert res.certified and res.converged
+        assert res.restarts == 1
+        assert res.lower_bound == cr
+        assert cr - 1e-9 <= res.value <= cr + 1e-9
+        assert res.to_dict()["certified"] is True
+        assert res.to_dict()["lower_bound"] == cr
+
+
+def test_cf_generic_state_is_bracketed(rng):
+    rho = rand.random_density_matrix(4, rng)
+    res = ck.coherence_of_formation(rho, restarts=5, seed=2)
+    assert not res.certified
+    assert res.restarts == 5
+    assert res.lower_bound == ck.relative_entropy_of_coherence(rho)
+    assert res.value > res.lower_bound + 1e-6
+
+
+def test_cf_ensemble_capped_at_rank_squared(rng):
+    rho = rand.random_density_matrix(6, rng, rank=2)
+    a = ck.coherence_of_formation(rho, restarts=6, seed=4)
+    b = ck.coherence_of_formation(rho, restarts=6, seed=4)
+    assert a.ensemble.size <= 4
+    assert a.value == b.value
+    assert a.ensemble.size == b.ensemble.size
+    for ma, mb in zip(a.ensemble.members, b.ensemble.members):
+        assert np.array_equal(ma.amplitudes, mb.amplitudes)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_roof_gradient_matches_finite_differences(d):
+    # d/dt f(polar(U + tV)) at t = 0 is 2 Re<G, V> for a tangent V, with G
+    # the Wirtinger gradient d f / d conj(U).
+    from cohkit.measures import _polar, _roof_value_grad, _spectral_factor, \
+        _tangent
+    gen = np.random.default_rng(100 + d)
+    for rank in sorted({1, max(1, d // 2), d}):
+        factor = _spectral_factor(rand.random_density_matrix(d, gen, rank))
+        r = factor.shape[1]
+        for m in sorted({r, 2 * r, r * r}):
+            u = rand.random_isometry(m, r, gen)
+            _, grad = _roof_value_grad(u, factor)
+            for _ in range(3):
+                v = _tangent(u, gen.standard_normal((m, r))
+                             + 1j * gen.standard_normal((m, r)))
+                v /= np.linalg.norm(v)
+                h = 1e-5
+                plus = _roof_value_grad(_polar(u + h * v), factor)[0]
+                minus = _roof_value_grad(_polar(u - h * v), factor)[0]
+                numeric = (plus - minus) / (2 * h)
+                analytic = 2.0 * float(np.real(np.vdot(grad, v)))
+                assert abs(numeric - analytic) <= 1e-7 * max(1.0, abs(analytic))
+
+
+def test_roof_preconditioner_is_positive_on_tangent_space():
+    # L-BFGS directions stay descent directions only if H0 is symmetric
+    # positive definite on the tangent space.
+    from cohkit.measures import _spectral_factor, _spectral_preconditioner, \
+        _tangent
+    gen = np.random.default_rng(31)
+    for d, rank, m in [(2, 2, 4), (4, 4, 16), (6, 2, 4), (5, 3, 6)]:
+        factor = _spectral_factor(rand.random_density_matrix(d, gen, rank))
+        precondition = _spectral_preconditioner(factor)
+        u = rand.random_isometry(m, rank, gen)
+        a, b = (_tangent(u, gen.standard_normal((m, rank))
+                         + 1j * gen.standard_normal((m, rank)))
+                for _ in range(2))
+        pa, pb = precondition(u, a), precondition(u, b)
+        assert np.isclose(np.vdot(a, pb).real, np.vdot(pa, b).real,
+                          rtol=1e-10)
+        assert np.vdot(a, pa).real > 0.0
+        assert np.allclose(_tangent(u, pa), pa, atol=1e-10)
+
+
 def test_ensemble_validation():
     with pytest.raises(InvariantViolationError):
         ck.Ensemble(np.array([0.5, 0.6]),
