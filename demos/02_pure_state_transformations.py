@@ -15,13 +15,13 @@ witness = ck.majorization_check(target.probabilities(),
 print("diag(target) majorizes diag(source):", witness.holds)
 print("doubly stochastic matrix with q = D p:")
 print(np.round(witness.bistochastic, 4))
-print("Birkhoff decomposition:")
+print("diag(source) as a mixture of at most d permutations of diag(target):")
 for lam, perm in witness.birkhoff:
     print(f"  weight {lam:.4f}  permutation {perm}")
 
 channel = ck.synthesize_pure_transformation(source, target)
-print(f"\nsynthesized channel: {len(channel.kraus)} Kraus operators, "
-      f"class = {ck.classify_channel(channel)}")
+print(f"\nsynthesized channel: {len(channel.kraus)} Kraus operators, one per "
+      f"permutation, class = {ck.classify_channel(channel)}")
 for k in channel.kraus:
     print(np.round(k.entries.real, 4))
 

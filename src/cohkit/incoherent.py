@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +34,7 @@ COMPLETENESS_ATOL = 1e-9
 CERTIFICATE_ATOL = 1e-12
 INCOHERENT_ENTRY_TOL = 1e-12
 ZERO_AMPLITUDE_TOL = 1e-12
+BIRKHOFF_ATOL = 1e-9
 
 STRICTLY_INCOHERENT = "strictly_incoherent"
 INCOHERENT = "incoherent"
@@ -258,7 +258,7 @@ class MajorizationWitness:
     """Outcome of a majorization test p > q, with constructive certificates.
 
     When the relation holds, ``bistochastic`` D satisfies q = D p and
-    ``birkhoff`` decomposes D into at most (d-1)^2 + 1 permutations, so that
+    ``birkhoff`` decomposes D into at most d permutations, so that
     q = sum_pi lambda_pi p^pi with p^pi(i) = p[pi(i)].
     """
     holds: bool
@@ -288,96 +288,66 @@ def _check_probability_vector(p: np.ndarray, name: str, atol: float):
         raise InvariantViolationError(name, f"sum {float(p.sum())!r} != 1")
 
 
-def _t_transform_chain(p_sorted: np.ndarray, q_sorted: np.ndarray) -> np.ndarray:
-    """Doubly stochastic D with q_sorted = D p_sorted, built from at most
-    d-1 T-transforms (Hardy-Littlewood-Polya construction)."""
-    d = p_sorted.size
-    current = p_sorted.astype(float).copy()
-    ds = np.eye(d)
-    for _ in range(d - 1):
-        diff = current - q_sorted
-        if float(np.max(np.abs(diff))) <= 1e-13:
-            break
-        above = np.flatnonzero(diff > 1e-13)
-        if above.size == 0:
-            break
-        j = int(above[-1])                       # largest index with p_j > q_j
-        below = np.flatnonzero(diff[j + 1:] < -1e-13)
-        if below.size == 0:
-            break
-        k = j + 1 + int(below[0])                # smallest index > j below q
-        delta = min(current[j] - q_sorted[j], q_sorted[k] - current[k])
-        lam = 1.0 - delta / (current[j] - current[k])
-        t = np.eye(d)
-        t[j, j] = t[k, k] = lam
-        t[j, k] = t[k, j] = 1.0 - lam
-        current = t @ current
-        ds = t @ ds
-    return ds
+def _permutohedron_terms(p: np.ndarray, q: np.ndarray):
+    """Write q as sum_k lambda_k p[perm_k] with at most d = p.size terms.
 
-
-def _birkhoff_greedy(ds: np.ndarray, tol: float = 1e-12):
-    """Greedy Birkhoff decomposition via max-weight perfect matchings."""
-    d = ds.shape[0]
-    residual = ds.copy()
-    remaining = 1.0
+    p and q sum to 1, and q lies in the permutohedron of p (the convex hull
+    of its permutations).  Its faces are chains of tight sets: sets of j
+    residual indices whose sum is s times the sum of p's j smallest entries,
+    s the remaining weight.  Each step takes the vertex of p ordered like the
+    residual within the blocks those sets cut, and removes the largest
+    multiple of it that keeps every bottom-j sum of the residual at least s
+    times p's.  Each such constraint is convex and piecewise linear in the
+    step, so Newton steps from the whole weight s reach the boundary from
+    above; the constraint met there is tight from then on.  A chain holds at
+    most d - 1 tight sets, so after at most d - 1 steps every block is one
+    index and the last vertex takes the remaining weight.  Bottom sums keep
+    small entries to relative precision, which the Kraus operators built
+    from the witness need.
+    """
+    d = p.size
+    unit = d * np.finfo(float).eps      # relative rounding of a d-term sum
+    order_p = np.argsort(p, kind="stable")
+    low = np.cumsum(p[order_p])
+    tight = np.arange(d) == d - 1       # all d indices: equal sums
+    block = np.zeros(d, dtype=int)
+    residual = q.copy()
     terms = []
-    for _ in range(d * d):
-        if remaining <= tol:
-            break
-        weights = np.where(residual > tol, np.log(np.maximum(residual, tol)),
-                           -1e9)
-        rows, cols = scipy.optimize.linear_sum_assignment(weights,
-                                                          maximize=True)
+
+    def deficits(alpha):
+        # Bottom-j deficits of residual - alpha * vertex, summed block by
+        # block (tight ones masked), and their rounding.
+        x = residual - alpha * vertex
+        idx = np.lexsort((x, block))
+        deficit = (s - alpha) * low - np.cumsum(x[idx])
+        rounding = unit * ((s - alpha) * low + np.cumsum(
+            np.abs(residual[idx]) + alpha * vertex[idx]))
+        return idx, np.where(tight, -np.inf, deficit), rounding
+
+    for _ in range(d):
+        s = float(residual.sum())
+        order = np.lexsort((residual, block))
         perm = np.empty(d, dtype=int)
-        perm[rows] = cols
-        lam = float(np.min(residual[rows, cols]))
-        if lam <= tol:
+        perm[order] = order_p
+        vertex = p[perm]
+        _, deficit, rounding = deficits(0.0)
+        tight |= deficit >= -rounding
+        block[order] = np.cumsum(tight) - tight
+        alpha, met = s, None
+        for _ in range(d * d):
+            idx, deficit, rounding = deficits(alpha)
+            k = int(np.argmax(deficit - rounding))
+            if deficit[k] <= rounding[k]:
+                break
+            # d deficit_k / d alpha: the vertex over x's bottom k + 1 minus p.
+            alpha -= deficit[k] / (vertex[idx[:k + 1]].sum() - low[k])
+            met = k
+        terms.append((alpha, perm))
+        if met is None:
             break
-        terms.append((lam, perm))
-        residual[rows, cols] -= lam
-        remaining -= lam
-    if remaining > 1e-9:
-        raise InvariantViolationError(
-            "birkhoff", f"residual mass {remaining:.3e} not decomposed")
-    total = sum(w for w, _ in terms)
-    return [(w / total, p) for w, p in terms]
-
-
-def _caratheodory_reduce(terms, d: int, limit: int):
-    """Reduce a convex combination of permutations to at most ``limit`` terms
-    without changing the represented matrix (Caratheodory pruning)."""
-    while len(terms) > limit:
-        mats = np.stack([_perm_matrix(p, d).reshape(-1) for _, p in terms])
-        rows = np.vstack([mats.T, np.ones(len(terms))])
-        # The affine hull of the permutation matrices has dimension (d-1)^2,
-        # so with more than (d-1)^2 + 1 terms an affine dependency c exists:
-        # rows @ c = 0.  Shifting the weights along -c zeroes one of them.
-        _, _, vt = np.linalg.svd(rows)
-        c = vt[-1]
-        if float(np.linalg.norm(rows @ c)) > 1e-9:
-            break
-        if not np.any(c > 1e-15):
-            c = -c
-        pos = c > 1e-15
-        if not np.any(pos):
-            break
-        weights = np.array([w for w, _ in terms])
-        t = float(np.min(weights[pos] / c[pos]))
-        new_weights = weights - t * c
-        new_terms = [(float(w), p) for w, (_, p) in zip(new_weights, terms)
-                     if w > 1e-14]
-        if len(new_terms) >= len(terms):
-            break
-        terms = new_terms
-    total = sum(w for w, _ in terms)
-    return [(w / total, p) for w, p in terms]
-
-
-def _perm_matrix(perm: np.ndarray, d: int) -> np.ndarray:
-    m = np.zeros((d, d))
-    m[np.arange(d), perm] = 1.0
-    return m
+        tight[met] = True
+        residual -= alpha * vertex
+    return terms
 
 
 def majorization_check(p, q, atol: float = 1e-9) -> MajorizationWitness:
@@ -387,7 +357,7 @@ def majorization_check(p, q, atol: float = 1e-9) -> MajorizationWitness:
     the corresponding partial sum of q (tolerance 1e-10 per partial sum).
     The witnesses are expressed in the original (unsorted) coordinates:
     q = D p with D doubly stochastic, and D = sum lambda_pi P_pi with at most
-    (d-1)^2 + 1 permutations.
+    d permutations (p and q taken at unit sum).
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -397,24 +367,24 @@ def majorization_check(p, q, atol: float = 1e-9) -> MajorizationWitness:
     _check_probability_vector(p, "probability_vector", atol)
     _check_probability_vector(q, "probability_vector", atol)
 
-    order_p = np.argsort(-p, kind="stable")
-    order_q = np.argsort(-q, kind="stable")
-    p_sorted = p[order_p]
-    q_sorted = q[order_q]
+    p_sorted = np.sort(p)[::-1]
+    q_sorted = np.sort(q)[::-1]
     partial = np.cumsum(p_sorted) - np.cumsum(q_sorted)
     holds = bool(np.all(partial >= -1e-10))
     if not holds:
         return MajorizationWitness(holds=False, source_spectrum=q_sorted,
                                    target_spectrum=p_sorted)
 
-    ds_sorted = _t_transform_chain(p_sorted, q_sorted)
-    # Undo the sorting: row permutation for q, column permutation for p.
+    p_unit = p / p.sum()
+    q_unit = q / q.sum()
+    terms = _permutohedron_terms(p_unit, q_unit)
     ds = np.zeros((d, d))
-    ds[np.ix_(order_q, order_p)] = ds_sorted
-    terms = _birkhoff_greedy(ds)
-    limit = (d - 1) ** 2 + 1
-    if len(terms) > limit:
-        terms = _caratheodory_reduce(terms, d, limit)
+    for lam, perm in terms:
+        ds[np.arange(d), perm] += lam
+    defect = float(np.max(np.abs(ds @ p_unit - q_unit)))
+    if not defect <= BIRKHOFF_ATOL:
+        raise InvariantViolationError(
+            "birkhoff", f"reconstruction deviates by {defect:.3e}")
     return MajorizationWitness(holds=True, source_spectrum=q_sorted,
                                target_spectrum=p_sorted, bistochastic=ds,
                                birkhoff=terms)
@@ -440,9 +410,11 @@ def synthesize_pure_transformation(source: PureState,
 
     Requires diag(target) to majorize diag(source); raises
     :class:`TransformationImpossibleError` carrying the witness otherwise.
-    Every Kraus operator K_pi = sum_i sqrt(lambda_pi p_pi(i) / q_i)
-    |pi(i)><i| (dressed with the amplitude phases) maps the source onto the
-    target with outcome probability lambda_pi.
+    The witness writes q = diag(source) as sum_pi lambda_pi p[pi] with at
+    most d permutations of p = diag(target).  Every Kraus operator
+    K_pi = sum_i sqrt(lambda_pi p[pi(i)] / q_i) |pi(i)><i| (dressed with the
+    amplitude phases) maps the source onto the target with outcome
+    probability lambda_pi.
     """
     if source.dim != target.dim:
         raise DimensionMismatchError(
@@ -456,49 +428,24 @@ def synthesize_pure_transformation(source: PureState,
             "target diagonal does not majorize source diagonal",
             witness=witness)
 
-    src_support = np.flatnonzero(q > ZERO_AMPLITUDE_TOL)
-    tgt_support = np.flatnonzero(p > ZERO_AMPLITUDE_TOL)
-    dr = src_support.size
-    # Reduced problem on the source support; target slots are its nonzero
-    # entries padded with zeros (majorization forces |supp p| <= |supp q|).
-    out_index = list(tgt_support) + [i for i in range(d)
-                                     if i not in set(tgt_support)]
-    out_index = np.array(out_index[:dr], dtype=int)
-    q_red = q[src_support]
-    p_red = np.zeros(dr)
-    p_red[:tgt_support.size] = p[tgt_support]
-    reduced = majorization_check(p_red, q_red)
-    if not reduced.holds:
-        raise TransformationImpossibleError(
-            "reduced majorization failed", witness=reduced)
-
+    # Column i is scaled by q_hat = D p rather than by q, so that completeness
+    # sum_pi lambda_pi p[pi(i)] / q_hat_i = 1 holds by construction; a source
+    # index with q_hat_i = 0 never occurs and follows each pi with weight
+    # lambda_pi.
+    q_hat = witness.bistochastic @ p
     src_phase = np.angle(source.amplitudes)
     tgt_phase = np.angle(target.amplitudes)
+    cols = np.arange(d)
     kraus = []
-    for lam, perm in reduced.birkhoff:
-        j_map = np.zeros(d, dtype=int)
-        coeff = np.zeros(d, dtype=complex)
-        j_map[np.arange(d)] = np.arange(d)
-        for i in range(dr):
-            col = src_support[i]
-            row = out_index[perm[i]]
-            j_map[col] = row
-            amp = math.sqrt(lam * p_red[perm[i]] / q_red[i])
-            coeff[col] = amp * np.exp(1j * (tgt_phase[row] - src_phase[col]))
+    for lam, perm in witness.birkhoff:
+        weight = np.divide(lam * p[perm], q_hat, out=np.full(d, lam),
+                           where=q_hat > 0)
+        coeff = np.sqrt(weight) * np.exp(1j * (tgt_phase[perm] - src_phase))
         m = np.zeros((d, d), dtype=complex)
-        m[j_map[src_support], src_support] = coeff[src_support]
-        kraus.append(KrausOperator(m, j_map=j_map, coefficients=coeff))
-    if dr < d:
-        # Source components of zero weight never occur; route them through an
-        # identity block so the channel stays complete and strictly incoherent.
-        dead = np.array([i for i in range(d) if i not in set(src_support)])
-        m = np.zeros((d, d), dtype=complex)
-        m[dead, dead] = 1.0
-        coeff = np.zeros(d, dtype=complex)
-        coeff[dead] = 1.0
-        kraus.append(KrausOperator(m, j_map=np.arange(d), coefficients=coeff))
+        m[perm, cols] = coeff
+        kraus.append(KrausOperator(m, j_map=perm, coefficients=coeff))
     return IncoherentChannel(kraus, class_label=STRICTLY_INCOHERENT,
-                             birkhoff=reduced.birkhoff)
+                             birkhoff=witness.birkhoff)
 
 
 def generate_from_maximally_coherent(target: DensityMatrix) -> IncoherentChannel:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     ConvergenceError,
@@ -84,6 +83,9 @@ def relative_entropy_of_coherence_variational(
         val = tr_rho_log_rho - float(np.sum(diag * np.log2(q)))
         grad = -diag / (q * LN2)
         return val, grad
+
+    # Imported here, so that importing cohkit does not load scipy.optimize.
+    import scipy.optimize
 
     x0 = np.full(d, 1.0 / d)
     res = scipy.optimize.minimize(
@@ -340,15 +342,14 @@ def _ensemble_from_isometry(u: np.ndarray, factor: np.ndarray) -> Ensemble:
 
 
 def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
-                           max_ensemble: int | None = None,
                            seed: int = 0) -> ConvexRoofResult:
     """Convex-roof upper bound on the coherence of formation.
 
     Ensembles of rho are parameterized by m x r isometries mixing the
     spectral square root (every decomposition arises this way).  m cycles
-    through r, 2r and r^2, capped by ``max_ensemble``: by Caratheodory's
-    theorem a rank-r state needs at most r^2 members.  Restart k starts
-    from ``random_isometry(m, r, rng_for(seed, k))`` and runs Riemannian
+    through r, 2r and r^2: by Caratheodory's theorem a rank-r state needs at
+    most r^2 members.  Restart k starts from
+    ``random_isometry(m, r, rng_for(seed, k))`` and runs Riemannian
     L-BFGS, preconditioned by the spectrum of rho (polar retraction, Armijo
     backtracking from t = 1), until the squared gradient norm falls below
     1e-14, progress stalls, or the value comes within 1e-12 of C_r.  Since C_r <= C_f, that last stop certifies
@@ -363,9 +364,7 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
         raise ValueError(f"restarts {restarts} < 1")
     factor = _spectral_factor(rho)
     r = factor.shape[1]
-    cap = r * r if max_ensemble is None else min(int(max_ensemble), r * r)
-    cap = max(cap, r)
-    sizes = sorted({r, min(2 * r, cap), cap})
+    sizes = sorted({r, min(2 * r, r * r), r * r})
     lower = relative_entropy_of_coherence(rho)
     target = lower + CERTIFY_TOL
 

@@ -178,7 +178,7 @@ def check_birkhoff_witness(seed):
         for lam, perm in w.birkhoff:
             q += lam * target.probabilities()[perm]
         ok &= float(np.max(np.abs(q - source.probabilities()))) <= 1e-9
-        ok &= len(w.birkhoff) <= (d - 1) ** 2 + 1
+        ok &= len(w.birkhoff) <= d
     return ok, "reconstruction and permutation count"
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,6 +389,18 @@ def test_tolerance_flag_range(capsys, files):
                  "--tolerance", "0.5"])
     assert code == 2  # argparse rejects out-of-range tolerances
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # Only the variational C_r oracle uses scipy.optimize, and it imports it
+    # itself, so a CLI call that does not need it does not pay for it.
+    src = str(Path(ck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, cohkit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # -- selftest ----------------------------------------------------------------------------------

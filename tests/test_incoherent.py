@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -18,8 +17,6 @@ from cohkit.incoherent import (
     UNCLASSIFIED,
     IncoherentChannel,
     KrausOperator,
-    _caratheodory_reduce,
-    _perm_matrix,
 )
 
 from conftest import h2
@@ -250,7 +247,7 @@ def test_birkhoff_witness_properties(rng):
         q = source.probabilities()
         w = ck.majorization_check(p, q)
         assert w.holds
-        assert len(w.birkhoff) <= (d - 1) ** 2 + 1
+        assert len(w.birkhoff) <= d
         assert abs(sum(lam for lam, _ in w.birkhoff) - 1.0) <= 1e-10
         recon = np.zeros(d)
         for lam, perm in w.birkhoff:
@@ -262,18 +259,103 @@ def test_birkhoff_witness_properties(rng):
         assert np.all(w.bistochastic >= -1e-12)
 
 
-def test_caratheodory_reduce_keeps_matrix():
-    # Greedy Birkhoff stays within (d-1)^2 + 1 terms in practice, so the
-    # pruning is exercised directly: all 6 permutations of d = 3 span only a
-    # 5-dimensional affine hull.
-    d = 3
-    terms = [(1.0 / 6.0, np.array(p)) for p in itertools.permutations(range(d))]
-    reduced = _caratheodory_reduce(terms, d, (d - 1) ** 2 + 1)
-    assert len(reduced) <= (d - 1) ** 2 + 1
-    assert all(w > 0 for w, _ in reduced)
-    assert abs(sum(w for w, _ in reduced) - 1.0) <= 1e-12
-    recon = sum(w * _perm_matrix(p, d) for w, p in reduced)
-    assert np.allclose(recon, np.full((d, d), 1.0 / d), atol=1e-12)
+def _pair_with_ties_and_zeros(d, rng):
+    """(p, q) with q a mixture of permutations of p; p has repeated entries
+    and zeros in some draws."""
+    p = rng.dirichlet(np.full(d, rng.choice([0.2, 1.0, 5.0])))
+    if rng.uniform() < 0.4:
+        p = np.round(p * 4.0) / 4.0
+        if not p.any():
+            p[0] = 1.0
+        p /= p.sum()
+    q = np.zeros(d)
+    for w in rng.dirichlet(np.ones(int(rng.integers(1, 2 * d + 1)))):
+        q += w * p[rng.permutation(d)]
+    if d > 1 and rng.uniform() < 0.2:
+        # Averaging the smallest half keeps q majorized and ties it.
+        q = np.sort(q)
+        q[: d // 2] = q[: d // 2].mean()
+        q = q[rng.permutation(d)]
+    return p, q / q.sum()
+
+
+def test_permutohedron_witness_property():
+    rng = np.random.default_rng(20261018)
+    for _ in range(1200):
+        d = int(rng.integers(1, 17))
+        p, q = _pair_with_ties_and_zeros(d, rng)
+        # Trailing zeros dropped from one side exercise the padding.
+        p_in = np.trim_zeros(p, "b") if rng.uniform() < 0.2 else p
+        w = ck.majorization_check(p_in, q)
+        assert w.holds
+        weights = np.array([lam for lam, _ in w.birkhoff])
+        assert 1 <= weights.size <= d
+        assert np.all(weights > 0)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        recon = sum(lam * p[perm] for lam, perm in w.birkhoff)
+        assert np.max(np.abs(recon - q)) <= 1e-12
+        assert all(sorted(perm) == list(range(d)) for _, perm in w.birkhoff)
+        assert np.max(np.abs(w.bistochastic.sum(axis=0) - 1.0)) <= 1e-12
+        assert np.max(np.abs(w.bistochastic.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.all(w.bistochastic >= 0.0)
+
+
+@pytest.mark.parametrize("source, target", [
+    ([0.5, 0.5, 0.0], [1.0, 0.0, 0.0]),
+    ([0.5, 0.0, 0.5, 0.0], [0.0, 0.8, 0.0, 0.2]),
+    ([0.0, 0.3, 0.3, 0.4], [0.0, 0.0, 0.6, 0.4]),
+], ids=["merge", "zero-amplitudes", "leading-zero"])
+def test_channel_witness_in_channel_coordinates(source, target):
+    # The channel's Birkhoff terms are permutations of all d basis indices,
+    # and they rebuild the source diagonal from the target's.
+    p, q = np.array(target), np.array(source)
+    ch = ck.synthesize_pure_transformation(
+        ck.PureState(np.sqrt(q).astype(complex)),
+        ck.PureState(np.sqrt(p).astype(complex)))
+    terms = ch.to_dict()["birkhoff"]
+    assert len(terms) <= q.size
+    assert all(sorted(t["perm"]) == list(range(q.size)) for t in terms)
+    recon = sum(t["weight"] * p[t["perm"]] for t in terms)
+    assert np.max(np.abs(recon - q)) <= 1e-12
+
+
+def test_synthesis_with_tiny_and_zero_source_weights():
+    # Target entries of 1e-13 .. 1e-9 and zeros, mixed only among
+    # themselves, give source entries of that size and exact zeros.  Every
+    # outcome still lands on the target only if the witness rebuilds those
+    # entries to relative precision.
+    rng = np.random.default_rng(1013)
+    for _ in range(200):
+        d = int(rng.integers(2, 13))
+        p = rng.dirichlet(np.ones(d))
+        low = rng.choice(d, size=int(rng.integers(1, d)), replace=False)
+        zeros = low[: int(rng.integers(0, low.size + 1))]
+        p[low] = 10.0 ** rng.uniform(-13, -9, low.size)
+        p[zeros] = 0.0
+        p /= p.sum()
+        src_low = rng.choice(d, size=low.size, replace=False)
+        src_zero = src_low[: int(rng.integers(0, zeros.size + 1))]
+        src_rest = np.setdiff1d(np.arange(d), src_low)
+        q = np.zeros(d)
+        for w in rng.dirichlet(np.ones(int(rng.integers(1, d + 2)))):
+            perm = np.empty(d, dtype=int)
+            to_zero = rng.permutation(zeros)[: src_zero.size]
+            perm[src_zero] = to_zero
+            perm[np.setdiff1d(src_low, src_zero)] = rng.permutation(
+                np.setdiff1d(low, to_zero))
+            perm[src_rest] = rng.permutation(np.setdiff1d(np.arange(d), low))
+            q += w * p[perm]
+        q /= q.sum()
+        phases = np.exp(2j * np.pi * rng.uniform(size=(2, d)))
+        source = ck.PureState(np.sqrt(q) * phases[0])
+        target = ck.PureState(np.sqrt(p) * phases[1])
+        ch = ck.synthesize_pure_transformation(source, target)
+        assert ch.completeness_defect() <= 1e-9
+        assert ck.classify_channel(ch) == STRICTLY_INCOHERENT
+        assert len(ch.kraus) <= d
+        tgt = target.to_density()
+        for _, out in ck.apply_selective(ch, source.to_density()):
+            assert ck.fidelity(out, tgt) >= 1.0 - 1e-9
 
 
 # -- synthesis ----------------------------------------------------------------------------
