@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ResourceLimitError
 from .measures import Ensemble, coherence_of_formation, entropy_of_coherence, \
@@ -67,11 +66,19 @@ class ProtocolTrace:
         return out
 
 
+def _gammaln(x):
+    """ln Gamma(x), elementwise."""
+    # Imported here, so that importing cohkit does not load scipy.special.
+    from scipy.special import gammaln
+    return gammaln(x)
+
+
 def log2_type_class_size(counts) -> float:
     """log2 of the multinomial coefficient n! / prod(counts!)."""
     c = np.asarray(counts, dtype=float)
     n = float(c.sum())
-    return float((gammaln(n + 1.0) - np.sum(gammaln(c + 1.0))) / math.log(2.0))
+    return float((_gammaln(n + 1.0) - np.sum(_gammaln(c + 1.0)))
+                 / math.log(2.0))
 
 
 def type_measurement(probs, n: int, rng) -> TypeMeasurementOutcome:
@@ -107,7 +114,7 @@ def simulate_concentration(psi: PureState, n: int, trials: int,
     # it; the class sizes of all trials are then taken in one array pass.
     counts = np.array([rng_for(seed, t).multinomial(n, p)
                        for t in range(trials)], dtype=float)
-    log_sizes = (gammaln(n + 1.0) - np.sum(gammaln(counts + 1.0), axis=1)) \
+    log_sizes = (_gammaln(n + 1.0) - np.sum(_gammaln(counts + 1.0), axis=1)) \
         / math.log(2.0)
     rates = (log_sizes / n).tolist()
     return ProtocolTrace(n=n, trials=trials, rates=rates,
@@ -157,8 +164,8 @@ def _type_mass(ln_q, n: int, lo, hi, score=None, target: float = 0.0,
             keep = np.abs(s, out=s) <= tol
             c, rem = c[keep], rem[keep]
             total += float(np.exp(
-                gammaln(n + 1.0) + lnm[keep] + c * ln_q[j] - gammaln(c + 1.0)
-                + rem * ln_q[-1] - gammaln(rem + 1.0)).sum())
+                _gammaln(n + 1.0) + lnm[keep] + c * ln_q[j] - _gammaln(c + 1.0)
+                + rem * ln_q[-1] - _gammaln(rem + 1.0)).sum())
             continue
         first = np.maximum(lo[j + 1], rem - hi_tail[j + 1])
         size = np.maximum(
@@ -168,7 +175,7 @@ def _type_mass(ln_q, n: int, lo, hi, score=None, target: float = 0.0,
             for a, b in ((c.size // 2, c.size), (0, c.size // 2)):
                 stack.append((j, c[a:b], rem[a:b], part[a:b], lnm[a:b]))
             continue
-        lnm = np.repeat(lnm + c * ln_q[j] - gammaln(c + 1.0), size)
+        lnm = np.repeat(lnm + c * ln_q[j] - _gammaln(c + 1.0), size)
         c = np.repeat(first - ends + size, size)
         c += np.arange(c.size)
         rem = np.repeat(rem, size)
@@ -471,9 +478,14 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
     big_n = seqs.shape[0]
     vecs = np.stack([psi.amplitudes for psi in ensemble.members])
     overlap = vecs.conj() @ vecs.T            # <psi_a | psi_b>
-    gram = np.ones((big_n, big_n), dtype=complex)
+    if not overlap.imag.any():
+        # Complex products of real overlaps have exactly zero imaginary
+        # parts, so real arithmetic builds the same matrix, about 3x faster.
+        overlap = overlap.real
+    gram = np.ones((big_n, big_n), dtype=overlap.dtype)
     for t in range(n):
-        gram *= overlap[seqs[:, None, t], seqs[None, :, t]]
+        letters = seqs[:, t]
+        gram *= overlap[letters][:, letters]
     gram = 0.5 * (gram + gram.conj().T)
     if float(np.max(np.abs(gram.imag))) < 1e-14:
         gram = gram.real  # real spans use the faster symmetric solver

@@ -95,7 +95,8 @@ def _load(path: str, build):
     data = _load_json_file(path)
     try:
         return build(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise InvariantViolationError(
             "json_schema", f"{type(exc).__name__}: {exc}")
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse import csr_matrix
 
 from .measures import coherence_of_formation, relative_entropy_of_coherence
 from .qstate import DensityMatrix
@@ -71,20 +69,29 @@ def detect_blocks(rho: DensityMatrix,
 
     This is the coarsest basis partition compatible with the state's
     off-diagonal support; per-block states are the renormalized projections.
+    Components are found by min-label propagation: each index takes the
+    smallest label among its neighbours until nothing changes (at most d
+    sweeps), so a component is labelled by, and ordered by, its smallest
+    index.
     """
     d = rho.dim
-    adj = np.abs(rho.matrix) > threshold
+    adj = np.abs(rho.matrix) > threshold  # symmetric: rho is Hermitian
     np.fill_diagonal(adj, True)
-    n_comp, labels = connected_components(csr_matrix(adj), directed=False)
+    labels = np.arange(d)
+    while True:
+        new = np.where(adj, labels, d).min(axis=1)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    roots, labels = np.unique(labels, return_inverse=True)
     blocks = []
-    for c in range(n_comp):
+    for c in range(roots.size):
         idx = np.flatnonzero(labels == c)
         sub = rho.matrix[np.ix_(idx, idx)]
         weight = float(np.real(np.trace(sub)))
         state = sub / weight if weight > 1e-14 else sub
         blocks.append(Block(indices=tuple(int(i) for i in idx),
                             weight=weight, state=state))
-    blocks.sort(key=lambda b: b.indices[0])
     off = np.abs(rho.matrix).copy()
     same = labels[:, None] == labels[None, :]
     off[same] = 0.0

@@ -302,6 +302,57 @@ def test_covering_deviations_shrink_with_subset_size():
     assert medians[1] < medians[0]
 
 
+def _explicit_deviations(ensemble, n, S, trials, seed):
+    """Covering deviations from the d^n-dimensional product states of the
+    type class, subsets drawn with the same permutations as covering_check
+    (class in lexicographic order)."""
+    m = len(ensemble.members)
+    counts = [n // m] * m  # equal weights: the apportioned type
+    seqs = [s for s in itertools.product(range(m), repeat=n)
+            if [s.count(a) for a in range(m)] == counts]
+    vecs = []
+    for s in seqs:
+        v = np.ones(1, dtype=complex)
+        for a in s:
+            v = np.kron(v, ensemble.members[a].amplitudes)
+        vecs.append(v)
+    vecs = np.array(vecs)
+    class_avg = vecs.T @ vecs.conj() / len(seqs)
+    out = []
+    for t in range(trials):
+        perm = rand.rng_for(seed, t).permutation(len(seqs))
+        for k in range(len(seqs) // S):
+            sub = vecs[perm[k * S:(k + 1) * S]]
+            diff = sub.T @ sub.conj() / S - class_avg
+            out.append(float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))
+    return out
+
+
+R2 = 2 ** -0.5
+
+
+@pytest.mark.parametrize("amplitudes,n,S", [
+    pytest.param([[1, 0], [R2, R2]], n, S, id=f"real-0-plus-n{n}-S{S}")
+    for n, S in [(2, 1), (4, 2), (6, 5)]] + [
+    pytest.param([[R2, R2], [R2, 1j * R2]], n, S,
+                 id=f"complex-plus-plusi-n{n}-S{S}")
+    for n, S in [(2, 1), (4, 2), (6, 5)]] + [
+    # Three members: the phase of <0|+><+|+i><+i|0> cannot be removed by
+    # member phases, so this span is not a real one in disguise.
+    pytest.param([[1, 0], [R2, R2], [R2, 1j * R2]], 6, 4,
+                 id="complex-0-plus-plusi-n6-S4"),
+])
+def test_covering_matches_explicit_product_states(amplitudes, n, S):
+    m = len(amplitudes)
+    ens = ck.Ensemble(np.full(m, 1.0 / m),
+                      [ck.PureState(np.array(a, dtype=complex))
+                       for a in amplitudes])
+    rep = ck.covering_check(ens, n, S, trials=2, seed=3)
+    explicit = _explicit_deviations(ens, n, S, trials=2, seed=3)
+    assert len(rep.deviations) == len(explicit)
+    assert np.allclose(rep.deviations, explicit, rtol=0.0, atol=1e-10)
+
+
 def test_covering_budget():
     with pytest.raises(ResourceLimitError):
         ck.covering_check(cover_ensemble(), 40, 8, trials=1, seed=0)

@@ -170,6 +170,9 @@ def test_partition_file_as_state_is_exit_2(capsys, files, extra):
     pytest.param({"dim": 2, "amplitudes": [None, {"re": 1.0, "im": 0.0}]},
                  id="null-amplitude"),
     pytest.param({"matrix": [[1]]}, id="missing-dim"),
+    # Valid JSON, but no float holds a 400-digit integer.
+    pytest.param({"dim": 2, "amplitudes": [10 ** 400, 0]},
+                 id="amplitude-overflows-float"),
 ])
 def test_wrong_typed_state_field_is_exit_2(capsys, files, content):
     path = files["dir"] / "state.json"
@@ -401,6 +404,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported on first use only (the variational C_r oracle and
+    # the asymptotic log-factorials), so starting the CLI loads none of it.
+    src = str(Path(ck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, cohkit.cli; print(sorted(name for name in "
+             "sys.modules if name.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # -- selftest ----------------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,59 @@ def test_threshold_monotone_refinement(rng):
                   for thr in (1e-10, 1e-3, 1e-1)]
         for a, b in zip(counts, counts[1:]):
             assert b >= a  # raising the threshold never merges blocks
+
+
+def bfs_blocks(matrix, threshold):
+    """Connected components of |matrix_ij| > threshold by breadth-first
+    search, each sorted, ordered by smallest index."""
+    d = len(matrix)
+    seen, blocks = set(), []
+    for start in range(d):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [], deque([start])
+        while queue:
+            i = queue.popleft()
+            comp.append(i)
+            for j in range(d):
+                if j not in seen and abs(matrix[i][j]) > threshold:
+                    seen.add(j)
+                    queue.append(j)
+        blocks.append(tuple(sorted(comp)))
+    return blocks
+
+
+def supported_state(d, edges, rng):
+    """A diagonally dominant (hence valid) density matrix whose off-diagonal
+    support is exactly ``edges``, with magnitudes spread over 1e-12..1e-1."""
+    m = np.zeros((d, d), dtype=complex)
+    for i, j in edges:
+        m[i, j] = 10.0 ** rng.uniform(-12, -1) * np.exp(
+            2j * np.pi * rng.uniform())
+        m[j, i] = np.conj(m[i, j])
+    m += np.diag(np.abs(m).sum(axis=1) + rng.uniform(0.1, 1.0, d))
+    return ck.DensityMatrix(m / np.trace(m).real)
+
+
+def support_graphs(rng):
+    for d in range(1, 33):
+        for density in (0.02, 0.1, 0.3):
+            yield d, [(i, j) for i in range(d) for j in range(i + 1, d)
+                      if rng.uniform() < density]
+        # Paths need the most propagation sweeps: one per edge.
+        yield d, [(i, i + 1) for i in range(d - 1)]
+        perm = rng.permutation(d)
+        yield d, [(int(perm[i]), int(perm[i + 1])) for i in range(d - 1)]
+
+
+def test_detect_blocks_matches_bfs(rng):
+    for d, edges in support_graphs(rng):
+        rho = supported_state(d, edges, rng)
+        for threshold in (0.0, 1e-10, 1e-6, 1e-3):
+            expected = bfs_blocks(rho.matrix.tolist(), threshold)
+            dec = ck.detect_blocks(rho, threshold)
+            assert [b.indices for b in dec.blocks] == expected
 
 
 # -- verdicts --------------------------------------------------------------------
