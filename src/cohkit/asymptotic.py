@@ -193,6 +193,15 @@ def _sequences(m: int, n: int) -> np.ndarray:
                                 indexing="ij")).reshape(n, -1).T
 
 
+def _window_rows(m: int, n: int, lo, hi):
+    """The rows of ``_sequences(m, n)`` whose letter counts c satisfy
+    lo <= c <= hi, still in lexicographic order, and their counts."""
+    seqs = _sequences(m, n)
+    counts = (seqs[:, :, None] == np.arange(m)).sum(axis=1)
+    keep = np.all((counts >= lo) & (counts <= hi), axis=1)
+    return seqs[keep], counts[keep]
+
+
 def typical_set_probability(probs, n: int, delta: float) -> float:
     """Exact probability of the entropy-typical set of n-letter sequences.
 
@@ -281,38 +290,6 @@ def _sample_typical_counts(weights, n, delta, rng, max_attempts=10000):
         "frequency-typical sampling failed; enlarge delta1 or n")
 
 
-def _typical_truncation_vector(psi: PureState, copies: int,
-                               delta: float) -> np.ndarray:
-    """Normalized truncation of psi^(copies) to its entropy-typical basis
-    sequences (explicit amplitudes; only used at small dimensions)."""
-    a = psi.amplitudes
-    probs = psi.probabilities()
-    with np.errstate(divide="ignore"):
-        v = np.where(probs > 1e-300, -np.log2(np.maximum(probs, 1e-300)), 0.0)
-    h = shannon_entropy(probs)
-    vec = np.array([1.0], dtype=complex)
-    surplus = np.array([0.0])
-    for _ in range(copies):
-        vec = np.kron(vec, a)
-        surplus = (surplus[:, None] + v[None, :]).reshape(-1)
-    mask = np.abs(surplus / copies - h) <= delta + MEMBERSHIP_TOL
-    vec = np.where(mask, vec, 0.0)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ResourceLimitError("typical set empty at this (n, delta)")
-    return vec / norm
-
-
-def _position_order(tensor_groups, seq, d):
-    """Reorder a group-ordered product vector into position order."""
-    n = seq.size
-    order = np.argsort(seq, kind="stable")
-    full = tensor_groups.reshape((d,) * n)
-    inv = np.empty(n, dtype=int)
-    inv[order] = np.arange(n)
-    return np.transpose(full, axes=inv).reshape(-1)
-
-
 def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
                        delta2: float, seed: int = 0,
                        ensemble: Ensemble | None = None, trials: int = 100,
@@ -340,11 +317,9 @@ def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
 
     rates = []
     fidelities = []
-    sampled_counts = []
     for t in range(trials):
         rng = rng_for(seed, t)
         counts = _sample_typical_counts(weights, n, delta1, rng)
-        sampled_counts.append(counts)
         freqs = counts / n
         rates.append(float(np.dot(freqs + delta1, coherences + delta2)))
         fid = 1.0
@@ -366,6 +341,13 @@ def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
 
 
 def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2):
+    """Fidelity of the protocol's output with rho^(n), and its floor.
+
+    For each frequency-typical member sequence s, the output vector is built
+    in position order over all d**n letter sequences x: its entry is
+    prod_t a_{s_t}(x_t), kept only when every member group's mean surprisal
+    lies within delta2 of its entropy, then normalized.
+    """
     d = rho.dim
     if d ** n > MAX_RECONSTRUCT_DIM:
         raise ResourceLimitError(
@@ -374,42 +356,32 @@ def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2):
     m = weights.size
     if float(m) ** n > MAX_SEQUENCES:
         raise ResourceLimitError("member sequence enumeration over budget")
-    lo, hi = _freq_typical_log_prob_box(weights, n, delta1)
+    seqs, counts = _window_rows(
+        m, n, *_freq_typical_log_prob_box(weights, n, delta1))
 
-    # Cache per-(member, copies) typical truncations and their fidelities.
-    trunc: dict = {}
-
-    def truncation(j, copies):
-        key = (j, copies)
-        if key not in trunc:
-            psi = ensemble.members[j]
-            vec = _typical_truncation_vector(psi, copies, delta2)
-            exact = np.array([1.0], dtype=complex)
-            for _ in range(copies):
-                exact = np.kron(exact, psi.amplitudes)
-            trunc[key] = (vec, abs(np.vdot(vec, exact)))
-        return trunc[key]
-
+    amps = np.stack([psi.amplitudes for psi in ensemble.members])
+    probs = np.stack([psi.probabilities() for psi in ensemble.members])
+    with np.errstate(divide="ignore"):
+        surprisal = np.where(probs > 1e-300,
+                             -np.log2(np.maximum(probs, 1e-300)), 0.0)
+    entropies = np.array([shannon_entropy(p) for p in probs])
+    grid = _sequences(d, n)
+    log_w = np.log(np.maximum(weights, 1e-300))
     out = np.zeros((d ** n, d ** n), dtype=complex)
     prob_typical = 0.0
-    min_group_fid = 1.0
-    seqs = _sequences(m, n)
-    log_w = np.log(np.maximum(weights, 1e-300))
-    for seq in seqs:
-        counts = np.bincount(seq, minlength=m)
-        if np.any(counts < lo) or np.any(counts > hi):
-            continue
-        p_seq = math.exp(float(np.sum(counts * log_w)))
+    for seq, c in zip(seqs, counts):
+        occ = c > 0
+        group = (surprisal[seq, grid] @ (seq[:, None] == np.arange(m)))[:, occ]
+        typical = np.all(np.abs(group / c[occ] - entropies[occ])
+                         <= delta2 + MEMBERSHIP_TOL, axis=1)
+        vec = np.where(typical, np.prod(amps[seq, grid], axis=1), 0.0)
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            raise ResourceLimitError("typical set empty at this (n, delta)")
+        vec /= norm
+        p_seq = math.exp(float(np.sum(c * log_w)))
         prob_typical += p_seq
-        group_vec = np.array([1.0], dtype=complex)
-        for j in range(m):
-            if counts[j] == 0:
-                continue
-            vec, gf = truncation(j, int(counts[j]))
-            group_vec = np.kron(group_vec, vec)
-            min_group_fid = min(min_group_fid, gf)
-        pos_vec = _position_order(group_vec, seq, d)
-        out += p_seq * np.outer(pos_vec, pos_vec.conj())
+        out += p_seq * np.outer(vec, vec.conj())
     if prob_typical == 0.0:
         raise ResourceLimitError("frequency-typical set empty; enlarge delta1")
     out /= prob_typical
@@ -418,8 +390,11 @@ def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2):
     for _ in range(n - 1):
         exact = np.kron(exact, rho.matrix)
     f = fidelity(DensityMatrix(exact), DensityMatrix(out))
-    floor = prob_typical * min_group_fid ** m
-    return f, floor
+    # A group's fidelity with its exact copies: sqrt(Pr(typical set)).
+    groups = {(j, int(c_j)) for c in counts for j, c_j in enumerate(c) if c_j}
+    group_fid = min(math.sqrt(typical_set_probability(probs[j], c_j, delta2))
+                    for j, c_j in groups)
+    return f, prob_typical * group_fid ** m
 
 
 @dataclass
@@ -472,9 +447,7 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
     if S < 1 or S > class_size:
         raise ValueError(f"subset size {S} outside [1, {class_size}]")
 
-    seqs = _sequences(m, n)  # the type class: rows with these letter counts
-    seqs = seqs[np.all((seqs[:, :, None] == np.arange(m)).sum(axis=1)
-                       == counts, axis=1)]
+    seqs, _ = _window_rows(m, n, counts, counts)  # the type class
     big_n = seqs.shape[0]
     vecs = np.stack([psi.amplitudes for psi in ensemble.members])
     overlap = vecs.conj() @ vecs.T            # <psi_a | psi_b>

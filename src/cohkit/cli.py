@@ -87,6 +87,9 @@ def _load_json_file(path: str) -> dict:
         print(f"error: malformed JSON in {path} at line {exc.lineno} "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         raise SystemExit(1)
+    except RecursionError:
+        print(f"error: JSON nesting too deep in {path}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def _load(path: str, build):

@@ -310,28 +310,34 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return max(0.0, tr_rho_log_rho - cross)
 
 
-def _sqrtm_psd(matrix: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian PSD matrix via eigendecomposition.
+def _psd_factor(matrix: np.ndarray) -> np.ndarray:
+    """B = U sqrt(Lambda) over the kept eigenpairs of a Hermitian PSD
+    matrix, so that matrix = B B^dagger and sqrt(matrix) = B U^dagger.
 
-    Eigenvalues in [PSD_FLOOR, 0) are clamped to 0; anything lower is an
-    invariant violation of the input.
+    An eigenvalue below PSD_FLOOR is an invariant violation of the input.
+    Eigenvalues at or below d * eps * lambda_max are rounding dust and are
+    dropped, so a rank-deficient input keeps its null space.
     """
     vals, vecs = np.linalg.eigh(matrix)
     if vals[0] < PSD_FLOOR:
         raise InvariantViolationError(
             "positive_semidefinite", f"min eigenvalue {vals[0]:.3e}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    keep = vals > vals.size * np.finfo(float).eps * vals[-1]
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """F(rho, sigma) = tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1]."""
+    """F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1, in [0, 1].
+
+    With rho = B B^dagger and sigma = C C^dagger from their kept eigenpairs,
+    the nonzero singular values of sqrt(rho) sqrt(sigma) are those of
+    B^dagger C, whose side is the rank of each state.
+    """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims {rho.dim} != {sigma.dim}")
-    sr = _sqrtm_psd(rho.matrix)
-    vals = np.linalg.eigvalsh(sr @ sigma.matrix @ sr)
-    vals = np.clip(vals, 0.0, None)
-    return float(np.clip(np.sum(np.sqrt(vals)), 0.0, 1.0))
+    overlap = _psd_factor(rho.matrix).conj().T @ _psd_factor(sigma.matrix)
+    svals = np.linalg.svd(overlap, compute_uv=False)
+    return float(np.clip(np.sum(svals), 0.0, 1.0))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -236,6 +236,98 @@ def test_formation_reconstruction_beats_floor():
     assert trace.reconstruction_fidelity <= 1.0 + 1e-12
 
 
+def _reference_reconstruction(rho, ens, n, delta1, delta2):
+    """The formation output assembled group by group: for each
+    frequency-typical member sequence, the kron product of each member
+    group's typical truncation, its copies permuted into position order.
+    Returns (F with rho^(n), floor) as the protocol reports them."""
+    d, w = rho.dim, np.asarray(ens.weights, dtype=float)
+    m = w.size
+    lo = np.maximum(0, np.ceil(n * (w - delta1) - 1e-9).astype(int))
+    hi = np.minimum(n, np.floor(n * (w + delta1) + 1e-9).astype(int))
+
+    def truncation(psi, copies):
+        p = psi.probabilities()
+        with np.errstate(divide="ignore"):
+            v = np.where(p > 1e-300, -np.log2(np.maximum(p, 1e-300)), 0.0)
+        exact, surprisal = np.ones(1, dtype=complex), np.zeros(1)
+        for _ in range(copies):
+            exact = np.kron(exact, psi.amplitudes)
+            surprisal = np.add.outer(surprisal, v).ravel()
+        keep = np.abs(surprisal / copies - ck.shannon_entropy(p)) \
+            <= delta2 + 1e-12
+        vec = np.where(keep, exact, 0.0)
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            raise ResourceLimitError("typical set empty")
+        vec /= norm
+        return vec, abs(np.vdot(vec, exact))
+
+    out = np.zeros((d ** n, d ** n), dtype=complex)
+    total, group_fid = 0.0, 1.0
+    for seq in itertools.product(range(m), repeat=n):
+        seq = np.array(seq)
+        counts = np.bincount(seq, minlength=m)
+        if np.any(counts < lo) or np.any(counts > hi):
+            continue
+        vec = np.ones(1, dtype=complex)
+        for j in np.flatnonzero(counts):
+            trunc, gf = truncation(ens.members[j], int(counts[j]))
+            vec = np.kron(vec, trunc)
+            group_fid = min(group_fid, gf)
+        # Axis k of the group-ordered vector is position order[k].
+        order = np.argsort(seq, kind="stable")
+        vec = vec.reshape((d,) * n).transpose(np.argsort(order)).ravel()
+        p_seq = float(np.prod(w ** counts))
+        total += p_seq
+        out += p_seq * np.outer(vec, vec.conj())
+    exact = rho.matrix
+    for _ in range(n - 1):
+        exact = np.kron(exact, rho.matrix)
+    f = ck.fidelity(ck.DensityMatrix(exact), ck.DensityMatrix(out / total))
+    return f, total * group_fid ** m
+
+
+def _random_ensemble(d, m, seed, zero_amplitude):
+    rng = np.random.default_rng(seed)
+    members = []
+    for j in range(m):
+        a = rng.normal(size=d) + 1j * rng.normal(size=d)
+        if zero_amplitude and j == 0:
+            a[0] = 0.0
+        members.append(ck.PureState.normalized(a))
+    return ck.Ensemble(rng.dirichlet(np.ones(m)), members)
+
+
+@pytest.mark.parametrize("d,m,n,zero_amplitude", [
+    (2, 2, 7, False), (2, 3, 6, False), (2, 2, 5, True), (2, 3, 3, True),
+    (3, 2, 5, False), (3, 3, 4, False), (3, 2, 4, True), (3, 3, 3, True),
+])
+def test_formation_reconstruction_matches_group_order_reference(
+        d, m, n, zero_amplitude):
+    ens = _random_ensemble(d, m, [d, m, n], zero_amplitude)
+    rho = ens.reconstruct()
+    trace = ck.simulate_formation(rho, n, 0.25, 1.0, seed=1, ensemble=ens,
+                                  trials=1, reconstruct=True)
+    f, floor = _reference_reconstruction(rho, ens, n, 0.25, 1.0)
+    assert abs(trace.reconstruction_fidelity - f) <= 1e-12
+    assert abs(trace.fidelity_floor - floor) <= 1e-12
+    assert trace.reconstruction_fidelity >= trace.fidelity_floor - 1e-9
+
+
+def test_formation_reconstruction_empty_typical_set_matches_reference():
+    # Neither member has a typical sequence of 1..4 copies at delta2 = 0.01.
+    ens = ck.Ensemble(np.array([0.5, 0.5]),
+                      [ck.PureState(np.sqrt([0.7, 0.3]).astype(complex)),
+                       ck.PureState(np.sqrt([0.4, 0.6]).astype(complex))])
+    rho = ens.reconstruct()
+    with pytest.raises(ResourceLimitError, match="typical set empty"):
+        _reference_reconstruction(rho, ens, 4, 0.5, 0.01)
+    with pytest.raises(ResourceLimitError, match="typical set empty"):
+        ck.simulate_formation(rho, 4, 0.5, 0.01, ensemble=ens, trials=1,
+                              reconstruct=True)
+
+
 @pytest.mark.parametrize("w,n,delta", [
     ([0.6, 0.4], 12, 0.15),
     ([0.9, 0.1], 10, 0.2),         # windows clipped at n and at 0

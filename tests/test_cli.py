@@ -132,6 +132,23 @@ def test_malformed_json_is_exit_1(capsys, files):
     assert "line 1" in err
 
 
+def test_deeply_nested_json_is_exit_1(files):
+    # Valid JSON nested past the decoder's recursion limit cannot be read:
+    # a clean exit 1 naming the file, not a RecursionError traceback.
+    deep = files["dir"] / "deep.json"
+    deep.write_text('{"dim": 2, "amplitudes": ' + "[" * 100000
+                    + "]" * 100000 + "}")
+    src = str(Path(ck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cohkit.cli", "measure",
+                           "--state", str(deep), "--which", "cr"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert str(deep) in proc.stderr
+
+
 def test_invariant_violation_is_exit_2(capsys, files):
     bad = files["dir"] / "trace.json"
     rho = {"dim": 2, "matrix": [[{"re": 0.9, "im": 0}, {"re": 0, "im": 0}],

@@ -202,6 +202,25 @@ def test_distances_zero_plus_overlap():
     assert np.isclose(rep.fidelity, 1.0 / math.sqrt(2.0), atol=1e-9)
 
 
+@pytest.mark.parametrize("d", [4, 8, 16, 32, 64])
+def test_fidelity_of_orthogonal_pure_states_is_zero(rng, d):
+    # Rank-deficient inputs keep their null spaces: no eigenvalue dust.
+    a = rand.random_pure_state(d, rng).amplitudes
+    b = rand.random_pure_state(d, rng).amplitudes
+    b = b - np.vdot(a, b) * a
+    ra = ck.PureState(a).to_density()
+    rb = ck.PureState.normalized(b).to_density()
+    assert ck.fidelity(ra, rb) <= 1e-12
+    assert ck.fidelity(rb, ra) <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_fidelity_of_low_rank_state_with_itself_is_one(rng, rank):
+    for d in (2, 4, 8, 16):
+        rho = rand.random_density_matrix(d, rng, rank=rank)
+        assert abs(ck.fidelity(rho, rho) - 1.0) <= 1e-12
+
+
 def test_fidelity_symmetry(rng):
     for _ in range(10):
         d = int(rng.integers(2, 6))
