@@ -28,6 +28,8 @@ MAX_GRAM = 4000              # covering: Gram-matrix side length
 MAX_RECONSTRUCT_DIM = 4096   # formation: dim**n for state reconstruction
 MEMBERSHIP_TOL = 1e-12       # absorbs float dust at typicality boundaries
 TYPE_CHUNK = 1 << 15         # types expanded at once by _type_mass
+LETTER_FLOOR = 1e-12         # letters below this probability are dropped
+MAX_SAMPLING_ATTEMPTS = 10000  # rejection sampling of typical counts
 
 
 @dataclass(frozen=True)
@@ -73,19 +75,20 @@ def _gammaln(x):
     return gammaln(x)
 
 
-def log2_type_class_size(counts) -> float:
-    """log2 of the multinomial coefficient n! / prod(counts!)."""
+def log2_type_class_size(counts):
+    """log2 of the multinomial coefficient n! / prod(counts!), taken along
+    the last axis: a float for one type, an array for a stack of types."""
     c = np.asarray(counts, dtype=float)
-    n = float(c.sum())
-    return float((_gammaln(n + 1.0) - np.sum(_gammaln(c + 1.0)))
-                 / math.log(2.0))
+    n = c.sum(axis=-1)
+    return (_gammaln(n + 1.0) - np.sum(_gammaln(c + 1.0), axis=-1)) \
+        / math.log(2.0)
 
 
 def type_measurement(probs, n: int, rng) -> TypeMeasurementOutcome:
     """Sample the type measurement: a multinomial type and its statistics."""
     p = np.asarray(probs, dtype=float)
     counts = rng.multinomial(n, p / p.sum())
-    log_size = log2_type_class_size(counts)
+    log_size = float(log2_type_class_size(counts))
     with np.errstate(divide="ignore"):
         log_q = np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0)
     log_prob = (log_size * math.log(2.0)) + float(np.sum(counts * log_q))
@@ -113,19 +116,17 @@ def simulate_concentration(psi: PureState, n: int, trials: int,
     # One type per trial from its own generator, as type_measurement draws
     # it; the class sizes of all trials are then taken in one array pass.
     counts = np.array([rng_for(seed, t).multinomial(n, p)
-                       for t in range(trials)], dtype=float)
-    log_sizes = (_gammaln(n + 1.0) - np.sum(_gammaln(counts + 1.0), axis=1)) \
-        / math.log(2.0)
-    rates = (log_sizes / n).tolist()
+                       for t in range(trials)])
+    rates = (log2_type_class_size(counts) / n).tolist()
     return ProtocolTrace(n=n, trials=trials, rates=rates,
                          mean_rate=float(np.mean(rates)),
                          fidelity=[1.0] * trials, target_rate=target,
                          seed=seed)
 
 
-def _kept_letters(probs, floor: float = 1e-12):
+def _kept_letters(probs):
     p = np.asarray(probs, dtype=float)
-    p = p[p > floor]
+    p = p[p > LETTER_FLOOR]
     return p / p.sum()
 
 
@@ -280,9 +281,9 @@ def frequency_typical_probability(weights, n: int, delta: float) -> float:
     return _type_mass(np.log(np.maximum(w, 1e-300)), n, lo, hi)
 
 
-def _sample_typical_counts(weights, n, delta, rng, max_attempts=10000):
+def _sample_typical_counts(weights, n, delta, rng):
     lo, hi = _freq_typical_log_prob_box(weights, n, delta)
-    for _ in range(max_attempts):
+    for _ in range(MAX_SAMPLING_ATTEMPTS):
         counts = rng.multinomial(n, weights)
         if np.all(counts >= lo) and np.all(counts <= hi):
             return counts
@@ -440,15 +441,14 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
     if float(m) ** n > MAX_SEQUENCES:
         raise ResourceLimitError(f"{m}^{n} sequences over budget")
     counts = _apportion_counts(weights, n)
-    class_size = int(round(2 ** log2_type_class_size(counts)))
-    if class_size > MAX_GRAM:
-        raise ResourceLimitError(
-            f"type class size {class_size} exceeds Gram budget {MAX_GRAM}")
-    if S < 1 or S > class_size:
-        raise ValueError(f"subset size {S} outside [1, {class_size}]")
-
     seqs, _ = _window_rows(m, n, counts, counts)  # the type class
     big_n = seqs.shape[0]
+    if big_n > MAX_GRAM:
+        raise ResourceLimitError(
+            f"type class size {big_n} exceeds Gram budget {MAX_GRAM}")
+    if S < 1 or S > big_n:
+        raise ValueError(f"subset size {S} outside [1, {big_n}]")
+
     vecs = np.stack([psi.amplitudes for psi in ensemble.members])
     overlap = vecs.conj() @ vecs.T            # <psi_a | psi_b>
     if not overlap.imag.any():

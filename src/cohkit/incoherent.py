@@ -35,6 +35,9 @@ CERTIFICATE_ATOL = 1e-12
 INCOHERENT_ENTRY_TOL = 1e-12
 ZERO_AMPLITUDE_TOL = 1e-12
 BIRKHOFF_ATOL = 1e-9
+PROBABILITY_ATOL = 1e-9       # majorization inputs: entries and unit sum
+SELECTIVE_PROB_FLOOR = 1e-12  # selective outcomes below this are dropped
+NCG_TOL = 1e-10               # off-(block-)diagonal image entries
 
 STRICTLY_INCOHERENT = "strictly_incoherent"
 INCOHERENT = "incoherent"
@@ -142,12 +145,16 @@ class IncoherentChannel:
         mats = [np.array([[_j2c(z) for z in row] for row in m], dtype=complex)
                 for m in data["kraus"]]
         certs = data.get("certificates")
-        if certs is not None and len(certs) == len(mats):
+        if certs is None:
+            ops = [KrausOperator(m) for m in mats]
+        elif len(certs) != len(mats):
+            raise InvariantViolationError(
+                "json_schema",
+                f"{len(certs)} certificates for {len(mats)} Kraus operators")
+        else:
             ops = [KrausOperator(m, j_map=c["j"],
                                  coefficients=[_j2c(z) for z in c["c"]])
                    for m, c in zip(mats, certs)]
-        else:
-            ops = [KrausOperator(m) for m in mats]
         birkhoff = None
         if "birkhoff" in data:
             birkhoff = [(float(b["weight"]), np.asarray(b["perm"], dtype=int))
@@ -167,11 +174,10 @@ def apply_channel(ch: IncoherentChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(acc)
 
 
-def apply_selective(ch: IncoherentChannel, rho: DensityMatrix,
-                    prob_floor: float = 1e-12):
+def apply_selective(ch: IncoherentChannel, rho: DensityMatrix):
     """Measurement outcomes [(p_l, rho_l)] with p_l rho_l = K_l rho K_l^dag.
 
-    Outcomes with probability below ``prob_floor`` are dropped.
+    Outcomes with probability below ``SELECTIVE_PROB_FLOOR`` are dropped.
     """
     if ch.dim_in != rho.dim:
         raise DimensionMismatchError(
@@ -180,7 +186,7 @@ def apply_selective(ch: IncoherentChannel, rho: DensityMatrix,
     for k in ch.kraus:
         m = k.entries @ rho.matrix @ k.entries.conj().T
         p = float(np.real(np.trace(m)))
-        if p < prob_floor:
+        if p < SELECTIVE_PROB_FLOOR:
             continue
         outcomes.append((p, DensityMatrix(m / p)))
     return outcomes
@@ -232,8 +238,7 @@ def classify_channel(ch: IncoherentChannel,
 
 
 def _preserves_diagonal_subspace(kraus: np.ndarray,
-                                 partition: BasisPartition | None,
-                                 tol: float = 1e-10) -> bool:
+                                 partition: BasisPartition | None) -> bool:
     d_out, d_in = kraus.shape[1:]
     if partition is None:
         blocks = [(i,) for i in range(d_in)]
@@ -248,7 +253,7 @@ def _preserves_diagonal_subspace(kraus: np.ndarray,
             # Images of |a><b| for every b in the block:
             # sum_l K_l[:, a] K_l[:, b]^dag.
             images = np.einsum("li,ljb->bij", kraus[:, :, a], cols)
-            if np.any(np.abs(images[:, off_block]) > tol):
+            if np.any(np.abs(images[:, off_block]) > NCG_TOL):
                 return False
     return True
 
@@ -280,11 +285,11 @@ class MajorizationWitness:
         return out
 
 
-def _check_probability_vector(p: np.ndarray, name: str, atol: float):
+def _check_probability_vector(p: np.ndarray, name: str):
     _check_finite(p)
-    if np.any(p < -atol):
+    if np.any(p < -PROBABILITY_ATOL):
         raise InvariantViolationError(name, "negative entry")
-    if abs(float(p.sum()) - 1.0) > atol:
+    if abs(float(p.sum()) - 1.0) > PROBABILITY_ATOL:
         raise InvariantViolationError(name, f"sum {float(p.sum())!r} != 1")
 
 
@@ -350,7 +355,7 @@ def _permutohedron_terms(p: np.ndarray, q: np.ndarray):
     return terms
 
 
-def majorization_check(p, q, atol: float = 1e-9) -> MajorizationWitness:
+def majorization_check(p, q) -> MajorizationWitness:
     """Test whether p majorizes q; on success produce constructive witnesses.
 
     ``holds`` is true when every sorted-descending partial sum of p dominates
@@ -364,8 +369,8 @@ def majorization_check(p, q, atol: float = 1e-9) -> MajorizationWitness:
     d = max(p.size, q.size)
     p = np.pad(p, (0, d - p.size))
     q = np.pad(q, (0, d - q.size))
-    _check_probability_vector(p, "probability_vector", atol)
-    _check_probability_vector(q, "probability_vector", atol)
+    _check_probability_vector(p, "probability_vector")
+    _check_probability_vector(q, "probability_vector")
 
     p_sorted = np.sort(p)[::-1]
     q_sorted = np.sort(q)[::-1]
@@ -470,16 +475,15 @@ def generate_from_maximally_coherent(target: DensityMatrix) -> IncoherentChannel
     return channel
 
 
-def embed_maximally_correlated(rho: DensityMatrix,
-                               cap: int = DIM_CAP) -> DensityMatrix:
+def embed_maximally_correlated(rho: DensityMatrix) -> DensityMatrix:
     """The maximally correlated two-copy image: rho_ij |ii><jj|.
 
     This is what a CNOT produces from rho tensor |0><0|; it carries the
     coherence measures of rho over to entanglement measures.
     """
     d = rho.dim
-    if d * d > cap:
-        raise ResourceLimitError(f"embedded dim {d * d} exceeds cap {cap}")
+    if d * d > DIM_CAP:
+        raise ResourceLimitError(f"embedded dim {d * d} exceeds cap {DIM_CAP}")
     out = np.zeros((d * d, d * d), dtype=complex)
     diag_idx = np.arange(d) * d + np.arange(d)
     out[np.ix_(diag_idx, diag_idx)] = rho.matrix

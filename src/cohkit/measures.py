@@ -33,6 +33,7 @@ from .rand import random_isometry, rng_for
 
 COHERENT_TOL = 1e-9
 WEIGHT_PRUNE_TOL = 1e-12
+VARIATIONAL_MAXITER = 1000
 # Roof optimizer: L-BFGS memory, eigenvalue floor of the preconditioner,
 # squared-gradient and stall stops, Armijo constant, smallest backtracking
 # step, iteration cap, and the distance above C_r at which a restart's value
@@ -63,8 +64,7 @@ def relative_entropy_of_coherence(rho: DensityMatrix) -> float:
 
 
 def relative_entropy_of_coherence_variational(
-        rho: DensityMatrix, *, maxiter: int = 1000,
-        return_minimizer: bool = False):
+        rho: DensityMatrix, *, return_minimizer: bool = False):
     """min over diagonal sigma of S(rho||sigma), solved numerically.
 
     Convex problem over the probability simplex; serves as the built-in
@@ -74,9 +74,7 @@ def relative_entropy_of_coherence_variational(
     """
     d = rho.dim
     diag = rho.diagonal()
-    rvals, _ = rho.eigh()
-    r = rvals[rvals >= 1e-12]
-    tr_rho_log_rho = float(np.sum(r * np.log2(r))) if r.size else 0.0
+    tr_rho_log_rho = -von_neumann_entropy(rho)
 
     def objective(q):
         q = np.clip(q, 1e-300, None)
@@ -93,7 +91,7 @@ def relative_entropy_of_coherence_variational(
         bounds=[(1e-15, 1.0)] * d,
         constraints=[{"type": "eq", "fun": lambda q: np.sum(q) - 1.0,
                       "jac": lambda q: np.ones_like(q)}],
-        options={"maxiter": maxiter, "ftol": 1e-14})
+        options={"maxiter": VARIATIONAL_MAXITER, "ftol": 1e-14})
     value = max(0.0, float(res.fun))
     if not res.success:
         raise ConvergenceError(
@@ -312,12 +310,6 @@ def _lbfgs(u: np.ndarray, factor: np.ndarray, target: float):
     return f, u
 
 
-def _spectral_factor(rho: DensityMatrix) -> np.ndarray:
-    vals, vecs = rho.eigh()
-    keep = vals > 1e-12
-    return vecs[:, keep] * np.sqrt(vals[keep])
-
-
 def _ensemble_from_isometry(u: np.ndarray, factor: np.ndarray) -> Ensemble:
     w = factor @ u.T
     weights = np.real(np.sum(w * w.conj(), axis=0))
@@ -362,7 +354,7 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
     restarts = int(restarts)
     if restarts < 1:
         raise ValueError(f"restarts {restarts} < 1")
-    factor = _spectral_factor(rho)
+    factor = rho.factor()
     r = factor.shape[1]
     sizes = sorted({r, min(2 * r, r * r), r * r})
     lower = relative_entropy_of_coherence(rho)
@@ -444,15 +436,23 @@ def conversion_rate_bounds(rho: DensityMatrix, sigma: DensityMatrix, *,
     C_f(rho)/C_f(sigma)) on the mixed-state conversion rate.
 
     C_f values come from the roof optimizer (upper bounds), which keeps the
-    reported lower bound valid.  Raises if sigma is incoherent.
+    reported lower bound valid.  The upper bound divides by a lower bound on
+    C_f(sigma): the roof value when it is certified, the closed form for a
+    qubit, and C_r(sigma) otherwise.  Raises if sigma is incoherent.
     """
-    cr_rho = relative_entropy_of_coherence(rho)
-    cr_sigma = relative_entropy_of_coherence(sigma)
+    cf_sigma = coherence_of_formation(sigma, restarts=restarts, seed=seed)
+    cr_sigma = cf_sigma.lower_bound
     if cr_sigma <= COHERENT_TOL:
         raise UndefinedRateError(
             "target state is incoherent; conversion rate diverges")
-    cf_rho = coherence_of_formation(rho, restarts=restarts, seed=seed).value
-    cf_sigma = coherence_of_formation(sigma, restarts=restarts, seed=seed).value
-    lower = cr_rho / cf_sigma
-    upper = min(cr_rho / cr_sigma, cf_rho / cf_sigma)
+    cf_rho = coherence_of_formation(rho, restarts=restarts, seed=seed)
+    cr_rho = cf_rho.lower_bound
+    if sigma.dim == 2:
+        cf_sigma_low = coherence_of_formation_qubit(sigma)
+    elif cf_sigma.certified:
+        cf_sigma_low = cf_sigma.value
+    else:
+        cf_sigma_low = cr_sigma
+    lower = cr_rho / cf_sigma.value
+    upper = min(cr_rho / cr_sigma, cf_rho.value / cf_sigma_low)
     return RateBounds(lower=lower, upper=upper)

@@ -25,7 +25,6 @@ LN2 = math.log(2.0)
 # before symmetrization; eigenvalues in [PSD_FLOOR, 0) are treated as rounding
 # dust, anything below is a genuine violation.
 HERMITIAN_ATOL = 1e-10
-TRACE_ATOL = 1e-10
 PSD_FLOOR = -1e-9
 PURE_NORM_ATOL = 1e-12
 
@@ -33,8 +32,10 @@ PURE_NORM_ATOL = 1e-12
 ENTROPY_EIG_FLOOR = 1e-12
 SUPPORT_TOL = 1e-10
 
-# Default cap on composite dimensions (tensor products, embeddings).
+# Cap on composite dimensions (tensor products, embeddings).
 DIM_CAP = 4096
+# The parts a JSON complex-number object may name.
+_COMPLEX_KEYS = frozenset(("re", "im"))
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -55,10 +56,11 @@ class DensityMatrix:
 
     The raw input must be Hermitian within ``atol`` per entry; it is then
     symmetrized to absorb I/O rounding before the trace and positivity checks.
+    The positivity check reads the one eigendecomposition of the state, which
+    is kept (read-only) for every spectral quantity computed from it.
     """
 
-    def __init__(self, matrix, *, atol: float = HERMITIAN_ATOL,
-                 psd_floor: float = PSD_FLOOR):
+    def __init__(self, matrix, *, atol: float = HERMITIAN_ATOL):
         m = _as_complex_matrix(matrix)
         herm_defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if herm_defect > atol:
@@ -69,13 +71,14 @@ class DensityMatrix:
         if abs(tr - 1.0) > atol:
             raise InvariantViolationError(
                 "unit_trace", f"trace {tr!r} deviates by {abs(tr - 1.0):.3e}")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < psd_floor:
+        vals, vecs = np.linalg.eigh(m)
+        if vals[0] < PSD_FLOOR:
             raise InvariantViolationError(
-                "positive_semidefinite", f"min eigenvalue {eigs[0]:.3e}")
-        m.flags.writeable = False
+                "positive_semidefinite", f"min eigenvalue {vals[0]:.3e}")
+        for a in (m, vals, vecs):
+            a.flags.writeable = False
         self._matrix = m
-        self._eigh = None
+        self._eigh = (vals, vecs)
 
     @property
     def dim(self) -> int:
@@ -90,11 +93,17 @@ class DensityMatrix:
         return np.clip(np.real(np.diag(self._matrix)), 0.0, None)
 
     def eigh(self):
-        """Cached eigendecomposition (ascending eigenvalues)."""
-        if self._eigh is None:
-            vals, vecs = np.linalg.eigh(self._matrix)
-            self._eigh = (vals, vecs)
+        """The eigendecomposition taken at validation (ascending eigenvalues)."""
         return self._eigh
+
+    def factor(self) -> np.ndarray:
+        """B = U sqrt(Lambda) over the eigenpairs above d * eps * lambda_max
+        (the rank tolerance of ``numpy.linalg.matrix_rank``; smaller ones are
+        rounding dust), so rho = B B^dagger, sqrt(rho) = B U^dagger and B has
+        one column per unit of rank."""
+        vals, vecs = self._eigh
+        keep = vals > vals.size * np.finfo(float).eps * vals[-1]
+        return vecs[:, keep] * np.sqrt(vals[keep])
 
     def max_offdiagonal(self) -> float:
         off = self._matrix - np.diag(np.diag(self._matrix))
@@ -304,38 +313,19 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         return math.inf
     keep = ~null
     cross = float(np.sum(rho_in_s[keep] * np.log2(svals[keep])))
-    rvals, _ = rho.eigh()
-    r = rvals[rvals >= ENTROPY_EIG_FLOOR]
-    tr_rho_log_rho = float(np.sum(r * np.log2(r))) if r.size else 0.0
-    return max(0.0, tr_rho_log_rho - cross)
-
-
-def _psd_factor(matrix: np.ndarray) -> np.ndarray:
-    """B = U sqrt(Lambda) over the kept eigenpairs of a Hermitian PSD
-    matrix, so that matrix = B B^dagger and sqrt(matrix) = B U^dagger.
-
-    An eigenvalue below PSD_FLOOR is an invariant violation of the input.
-    Eigenvalues at or below d * eps * lambda_max are rounding dust and are
-    dropped, so a rank-deficient input keeps its null space.
-    """
-    vals, vecs = np.linalg.eigh(matrix)
-    if vals[0] < PSD_FLOOR:
-        raise InvariantViolationError(
-            "positive_semidefinite", f"min eigenvalue {vals[0]:.3e}")
-    keep = vals > vals.size * np.finfo(float).eps * vals[-1]
-    return vecs[:, keep] * np.sqrt(vals[keep])
+    return max(0.0, -von_neumann_entropy(rho) - cross)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1, in [0, 1].
 
-    With rho = B B^dagger and sigma = C C^dagger from their kept eigenpairs,
-    the nonzero singular values of sqrt(rho) sqrt(sigma) are those of
-    B^dagger C, whose side is the rank of each state.
+    With the factors rho = B B^dagger and sigma = C C^dagger, the nonzero
+    singular values of sqrt(rho) sqrt(sigma) are those of B^dagger C, whose
+    side is the rank of each state.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims {rho.dim} != {sigma.dim}")
-    overlap = _psd_factor(rho.matrix).conj().T @ _psd_factor(sigma.matrix)
+    overlap = rho.factor().conj().T @ sigma.factor()
     svals = np.linalg.svd(overlap, compute_uv=False)
     return float(np.clip(np.sum(svals), 0.0, 1.0))
 
@@ -356,21 +346,20 @@ def distances(rho: DensityMatrix, sigma: DensityMatrix) -> DistanceReport:
     return DistanceReport(fidelity=f, trace_distance=td, bures=bures)
 
 
-def tensor(rho: DensityMatrix, sigma: DensityMatrix,
-           cap: int = DIM_CAP) -> DensityMatrix:
-    """Kronecker product of two states; errors if the output dim exceeds cap."""
+def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
+    """Kronecker product of two states; errors beyond DIM_CAP dimensions."""
     out_dim = rho.dim * sigma.dim
-    if out_dim > cap:
+    if out_dim > DIM_CAP:
         raise ResourceLimitError(
-            f"tensor output dim {out_dim} exceeds cap {cap}")
+            f"tensor output dim {out_dim} exceeds cap {DIM_CAP}")
     return DensityMatrix(np.kron(rho.matrix, sigma.matrix))
 
 
-def tensor_pure(a: PureState, b: PureState, cap: int = DIM_CAP) -> PureState:
+def tensor_pure(a: PureState, b: PureState) -> PureState:
     out_dim = a.dim * b.dim
-    if out_dim > cap:
+    if out_dim > DIM_CAP:
         raise ResourceLimitError(
-            f"tensor output dim {out_dim} exceeds cap {cap}")
+            f"tensor output dim {out_dim} exceeds cap {DIM_CAP}")
     return PureState(np.kron(a.amplitudes, b.amplitudes))
 
 
@@ -387,7 +376,12 @@ def _complex_json(a) -> list:
 
 
 def _j2c(obj) -> complex:
+    """A JSON number, or an object with keys among {"re", "im"} (a missing
+    part is 0), as a complex number."""
     if isinstance(obj, dict):
+        if not obj or not obj.keys() <= _COMPLEX_KEYS:
+            raise InvariantViolationError(
+                "json_schema", f"complex entry with keys {sorted(obj)}")
         return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
     return complex(obj)
 

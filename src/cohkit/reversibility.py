@@ -124,11 +124,10 @@ def is_reversible(rho: DensityMatrix, *, threshold: float = BLOCK_THRESHOLD,
     defects = block_purity_defects(decomposition)
     reversible = (all(x <= PURITY_DEFECT_TOL for x in defects)
                   and decomposition.residual_offblock_mass <= OFFBLOCK_TOL)
-    cf = coherence_of_formation(rho, restarts=restarts, seed=seed).value
-    cr = relative_entropy_of_coherence(rho)
+    roof = coherence_of_formation(rho, restarts=restarts, seed=seed)
     return ReversibilityVerdict(reversible=reversible,
                                 decomposition=decomposition,
-                                gap_upper=cf - cr,
+                                gap_upper=roof.value - roof.lower_bound,
                                 block_purity_defects=defects)
 
 

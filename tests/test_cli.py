@@ -187,6 +187,11 @@ def test_partition_file_as_state_is_exit_2(capsys, files, extra):
     pytest.param({"dim": 2, "amplitudes": [None, {"re": 1.0, "im": 0.0}]},
                  id="null-amplitude"),
     pytest.param({"matrix": [[1]]}, id="missing-dim"),
+    # A misspelled part must not be read as 0 (here: a diagonal state).
+    pytest.param({"dim": 2, "matrix": [[{"re": 0.5}, {"Re": 0.5}],
+                                       [{"Re": 0.5}, {"re": 0.5}]]},
+                 id="unknown-complex-key"),
+    pytest.param({"dim": 2, "amplitudes": [{}, 1.0]}, id="empty-complex"),
     # Valid JSON, but no float holds a 400-digit integer.
     pytest.param({"dim": 2, "amplitudes": [10 ** 400, 0]},
                  id="amplitude-overflows-float"),
@@ -206,6 +211,27 @@ def test_non_object_channel_file_is_exit_2(capsys, files):
     path.write_text("[1, 2]")
     code, _, err = run(capsys, ["classify", "--channel", str(path)])
     assert code == 2
+    assert json.loads(err)["invariant"] == "json_schema"
+
+
+def test_complex_entries_take_numbers_and_partial_objects(capsys, files):
+    path = files["dir"] / "partial.json"
+    path.write_text(json.dumps({"dim": 2, "matrix": [
+        [{"re": 0.5}, 0.5], [{"im": 0.0, "re": 0.5}, 0.5]]}))
+    code, out, _ = run(capsys, ["measure", "--state", str(path),
+                                "--which", "cr"])
+    assert code == 0
+    assert np.isclose(json.loads(out)["value"], 1.0, atol=1e-12)
+
+
+def test_short_certificate_list_is_exit_2(capsys, files):
+    path = files["dir"] / "short_certs.json"
+    data = ck.dephasing_channel(2).to_dict()
+    data["certificates"] = data["certificates"][:1]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["classify", "--channel", str(path)])
+    assert code == 2
+    assert out == ""
     assert json.loads(err)["invariant"] == "json_schema"
 
 

@@ -110,8 +110,7 @@ def test_cf_of_diagonal(rng):
 
 def brute_force_qubit_roof(rho, samples=100_000, max_size=4, seed=5):
     """Dense random-search oracle over ensembles of size <= max_size."""
-    from cohkit.measures import _spectral_factor
-    factor = _spectral_factor(rho)
+    factor = rho.factor()
     r = factor.shape[1]
     gen = np.random.default_rng(seed)
     best = math.inf
@@ -227,11 +226,10 @@ def test_cf_ensemble_capped_at_rank_squared(rng):
 def test_roof_gradient_matches_finite_differences(d):
     # d/dt f(polar(U + tV)) at t = 0 is 2 Re<G, V> for a tangent V, with G
     # the Wirtinger gradient d f / d conj(U).
-    from cohkit.measures import _polar, _roof_value_grad, _spectral_factor, \
-        _tangent
+    from cohkit.measures import _polar, _roof_value_grad, _tangent
     gen = np.random.default_rng(100 + d)
     for rank in sorted({1, max(1, d // 2), d}):
-        factor = _spectral_factor(rand.random_density_matrix(d, gen, rank))
+        factor = rand.random_density_matrix(d, gen, rank).factor()
         r = factor.shape[1]
         for m in sorted({r, 2 * r, r * r}):
             u = rand.random_isometry(m, r, gen)
@@ -251,11 +249,10 @@ def test_roof_gradient_matches_finite_differences(d):
 def test_roof_preconditioner_is_positive_on_tangent_space():
     # L-BFGS directions stay descent directions only if H0 is symmetric
     # positive definite on the tangent space.
-    from cohkit.measures import _spectral_factor, _spectral_preconditioner, \
-        _tangent
+    from cohkit.measures import _spectral_preconditioner, _tangent
     gen = np.random.default_rng(31)
     for d, rank, m in [(2, 2, 4), (4, 4, 16), (6, 2, 4), (5, 3, 6)]:
-        factor = _spectral_factor(rand.random_density_matrix(d, gen, rank))
+        factor = rand.random_density_matrix(d, gen, rank).factor()
         precondition = _spectral_preconditioner(factor)
         u = rand.random_isometry(m, rank, gen)
         a, b = (_tangent(u, gen.standard_normal((m, rank))
@@ -415,6 +412,15 @@ def test_rate_bounds_qubit_examples():
     assert np.isclose(into.upper, 1.0 / cf, atol=5e-2)
     assert 1.0 / cf < 1.0 / cr  # the dropped ratio is strictly looser
     assert into.lower <= into.upper + 1e-9
+
+
+def test_rate_bounds_upper_is_not_collapsed_by_roof_excess(rng):
+    # C_f = C_r for a pure rho; dividing it by the roof value of a generic
+    # sigma, an upper estimate, would put the upper bound on the lower one.
+    psi = rand.random_pure_state(3, rng).to_density()
+    sigma = rand.random_density_matrix(3, rng)
+    bounds = ck.conversion_rate_bounds(psi, sigma, restarts=4)
+    assert bounds.upper > bounds.lower + 1e-3
 
 
 def test_rate_bounds_incoherent_target_rejected(rng):

@@ -113,6 +113,52 @@ def test_dephase_dimension_mismatch():
         ck.dephase(phi(2), ck.BasisPartition.singleton(3))
 
 
+# -- the one eigendecomposition of a state -------------------------------------
+
+@pytest.fixture
+def eigensolver_calls(monkeypatch):
+    """Names of the numpy eigensolvers called while the test runs."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append(_name)
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_cr_of_a_new_state_makes_one_eigensolver_call(rng, eigensolver_calls):
+    m = rand.random_density_matrix(4, rng).matrix
+    eigensolver_calls.clear()
+    ck.relative_entropy_of_coherence(ck.DensityMatrix(m))
+    assert eigensolver_calls == ["eigh"]
+
+
+def test_fidelity_of_built_states_makes_no_eigensolver_call(rng,
+                                                            eigensolver_calls):
+    rho = rand.random_density_matrix(4, rng)
+    sigma = rand.random_density_matrix(4, rng, rank=2)
+    eigensolver_calls.clear()
+    ck.fidelity(rho, sigma)
+    assert eigensolver_calls == []
+
+
+def test_eigendecomposition_is_read_only(rng):
+    vals, vecs = rand.random_density_matrix(3, rng).eigh()
+    for a in (vals, vecs):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_factor_has_rank_columns_and_rebuilds_the_state(rng, rank):
+    rho = rand.random_density_matrix(4, rng, rank=rank)
+    b = rho.factor()
+    assert b.shape == (4, rank)
+    assert np.allclose(b @ b.conj().T, rho.matrix, atol=1e-12)
+
+
 # -- entropies -----------------------------------------------------------------
 
 def test_entropy_of_pure_projector_is_zero():
