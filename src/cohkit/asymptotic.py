@@ -189,9 +189,10 @@ def _type_mass(ln_q, n: int, lo, hi, score=None, target: float = 0.0,
 
 def _sequences(m: int, n: int) -> np.ndarray:
     """All m**n letter sequences of length n, one per row, in lexicographic
-    order."""
-    return np.stack(np.meshgrid(*([np.arange(m)] * n),
-                                indexing="ij")).reshape(n, -1).T
+    order: the base-m digits of 0 .. m**n - 1.  The array is the transpose
+    of an (n, m**n) one, the memory layout the products over positions in
+    ``_reconstruct_formation_output`` are rounded in."""
+    return (np.arange(m ** n) // m ** np.arange(n - 1, -1, -1)[:, None] % m).T
 
 
 def _window_rows(m: int, n: int, lo, hi):

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 malformed input file (with parse location),
 (with the majorization witness).  An input file whose JSON parses but has a
 missing or wrong-typed field is the invariant violation ``json_schema``.
 The count arguments ``--n``, ``--trials``, ``--restarts`` and
-``--subset-size`` must be integers >= 1.  Identical (arguments, seed) pairs
+``--subset-size`` must be integers >= 1, and ``--delta``, ``--delta2`` and
+``--threshold`` finite numbers >= 0.  Identical (arguments, seed) pairs
 produce byte-identical reports; every report records the seed and all
 numbers are emitted at full double precision.  Reports, error objects and
 output files are compact JSON with sorted keys.
@@ -73,6 +74,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"{value} is not a finite number >= 0")
     return value
 
 
@@ -294,7 +303,7 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
     p = sub.add_parser("reversibility", help="reversibility verdict")
     common(p)
     p.add_argument("--state", required=True)
-    p.add_argument("--threshold", type=float, default=1e-10)
+    p.add_argument("--threshold", type=_nonnegative_float, default=1e-10)
     p.add_argument("--restarts", type=_positive_int, default=32)
     p.set_defaults(fn=_cmd_reversibility)
 
@@ -306,8 +315,8 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
                    help="state JSON (ensemble JSON for cover)")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--delta", type=float, default=0.02)
-    p.add_argument("--delta2", type=float, default=0.01)
+    p.add_argument("--delta", type=_nonnegative_float, default=0.02)
+    p.add_argument("--delta2", type=_nonnegative_float, default=0.01)
     p.add_argument("--subset-size", type=_positive_int, default=16,
                    help="subset size S for the covering check")
     p.add_argument("--restarts", type=_positive_int, default=32)

@@ -27,6 +27,8 @@ from .qstate import (
     _check_finite,
     _complex_json,
     _j2c,
+    _json_int,
+    _json_number,
     DIM_CAP,
 )
 
@@ -74,6 +76,9 @@ class KrausOperator:
         if self.j_map.size != cols or self.coefficients.size != cols:
             raise InvariantViolationError(
                 "certificate", "certificate length != column count")
+        if np.any((self.j_map < 0) | (self.j_map >= rows)):
+            raise InvariantViolationError(
+                "certificate", f"row index outside [0, {rows})")
         rebuilt = np.zeros_like(self.entries)
         rebuilt[self.j_map, np.arange(cols)] = self.coefficients
         defect = float(np.max(np.abs(rebuilt - self.entries)))
@@ -152,12 +157,13 @@ class IncoherentChannel:
                 "json_schema",
                 f"{len(certs)} certificates for {len(mats)} Kraus operators")
         else:
-            ops = [KrausOperator(m, j_map=c["j"],
+            ops = [KrausOperator(m, j_map=[_json_int(j) for j in c["j"]],
                                  coefficients=[_j2c(z) for z in c["c"]])
                    for m, c in zip(mats, certs)]
         birkhoff = None
         if "birkhoff" in data:
-            birkhoff = [(float(b["weight"]), np.asarray(b["perm"], dtype=int))
+            birkhoff = [(_json_number(b["weight"]),
+                         np.array([_json_int(i) for i in b["perm"]], dtype=int))
                         for b in data["birkhoff"]]
         return cls(ops, class_label=data.get("class", UNCLASSIFIED),
                    birkhoff=birkhoff)

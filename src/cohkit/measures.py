@@ -10,6 +10,7 @@ claims an exact value only when it reaches that lower bound.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     _check_finite,
+    _json_number,
     binary_entropy,
     shannon_entropy,
     von_neumann_entropy,
@@ -151,7 +153,7 @@ class Ensemble:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Ensemble":
-        return cls(np.asarray(data["weights"], dtype=float),
+        return cls(np.array([_json_number(w) for w in data["weights"]]),
                    [PureState.from_dict(m) for m in data["members"]])
 
 
@@ -185,13 +187,10 @@ def _roof_value_grad(u: np.ndarray, factor: np.ndarray):
     p_xi = np.real(w * w.conj())          # joint distribution over (index, member)
     p_i = p_xi.sum(axis=0)
     mask = p_xi > 1e-300
-    f_nats = -float(np.sum(p_xi[mask] * np.log(p_xi[mask])))
-    mi = p_i > 1e-300
-    f_nats += float(np.sum(p_i[mi] * np.log(p_i[mi])))
-    log_ratio = np.zeros_like(p_xi)
-    log_ratio[:, mi] = np.log(p_i[mi])[None, :]
-    log_ratio[mask] -= np.log(p_xi[mask])
-    log_ratio[~mask] = 0.0
+    log_xi = np.log(p_xi, where=mask, out=np.zeros_like(p_xi))
+    log_i = np.log(p_i, where=p_i > 1e-300, out=np.zeros_like(p_i))
+    f_nats = float(np.sum(p_i * log_i)) - float(np.sum(p_xi * log_xi))
+    log_ratio = np.where(mask, log_i - log_xi, 0.0)
     grad_w = w * log_ratio / LN2
     grad_u = grad_w.T @ factor.conj()
     return f_nats / LN2, grad_u
@@ -235,22 +234,22 @@ def _spectral_preconditioner(factor: np.ndarray):
     return apply
 
 
-def _two_loop(u, xi, s_mem, y_mem, inv_sy, precondition) -> np.ndarray:
-    """L-BFGS product H xi from the stacked pairs (oldest first), with
+def _two_loop(u, xi, memory, precondition) -> np.ndarray:
+    """L-BFGS product H xi from the (s, y, 1/sy) pairs (oldest first), with
     H0 = gamma * precondition; without pairs the step has length <= 1."""
-    k = inv_sy.size
     q = xi.copy()
-    alpha = np.empty(k)
-    for i in range(k - 1, -1, -1):
-        alpha[i] = inv_sy[i] * _inner(s_mem[i], q)
-        q -= alpha[i] * y_mem[i]
+    alphas = []
+    for s, y, inv_sy in reversed(memory):
+        alphas.append(inv_sy * _inner(s, q))
+        q -= alphas[-1] * y
     q = precondition(u, q)
-    if k:
-        q /= inv_sy[-1] * _inner(y_mem[-1], precondition(u, y_mem[-1]))
+    if memory:
+        _, y, inv_sy = memory[-1]
+        q /= inv_sy * _inner(y, precondition(u, y))
     else:
         q /= max(1.0, math.sqrt(_inner(q, q)))
-    for i in range(k):
-        q += (alpha[i] - inv_sy[i] * _inner(y_mem[i], q)) * s_mem[i]
+    for (s, y, inv_sy), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - inv_sy * _inner(y, q)) * s
     return q
 
 
@@ -268,22 +267,17 @@ def _lbfgs(u: np.ndarray, factor: np.ndarray, target: float):
     precondition = _spectral_preconditioner(factor)
     f, g = _roof_value_grad(u, factor)
     xi = _tangent(u, g)
-    s_mem = np.empty((LBFGS_MEMORY,) + u.shape, dtype=complex)
-    y_mem = np.empty_like(s_mem)
-    inv_sy = np.empty(LBFGS_MEMORY)
-    count = 0
+    memory = deque(maxlen=LBFGS_MEMORY)  # appending drops the oldest pair
     stall = 0
     for _ in range(MAX_ITER):
         if f <= target or _inner(xi, xi) < GRAD_TOL:
             break
         while True:
-            direction = -_tangent(u, _two_loop(
-                u, xi, s_mem[:count], y_mem[:count], inv_sy[:count],
-                precondition))
+            direction = -_tangent(u, _two_loop(u, xi, memory, precondition))
             slope = _inner(xi, direction)
-            if slope < 0.0 or count == 0:
+            if slope < 0.0 or not memory:
                 break
-            count = 0  # the memory lost descent: forget it
+            memory.clear()  # the memory lost descent: forget it
         t = 1.0
         while True:
             u_new = _polar(u + t * direction)
@@ -297,12 +291,7 @@ def _lbfgs(u: np.ndarray, factor: np.ndarray, target: float):
         s, y = u_new - u, xi_new - xi
         sy = _inner(s, y)
         if sy > 0.0:
-            if count == LBFGS_MEMORY:  # drop the oldest pair
-                for mem in (s_mem, y_mem, inv_sy):
-                    mem[:-1] = mem[1:]
-                count -= 1
-            s_mem[count], y_mem[count], inv_sy[count] = s, y, 1.0 / sy
-            count += 1
+            memory.append((s, y, 1.0 / sy))
         stall = stall + 1 if f - f_new <= STALL_TOL else 0
         u, f, xi = u_new, f_new, xi_new
         if stall >= STALL_ITERS:
@@ -313,24 +302,20 @@ def _lbfgs(u: np.ndarray, factor: np.ndarray, target: float):
 def _ensemble_from_isometry(u: np.ndarray, factor: np.ndarray) -> Ensemble:
     w = factor @ u.T
     weights = np.real(np.sum(w * w.conj(), axis=0))
-    keep = weights > WEIGHT_PRUNE_TOL
-    w = w[:, keep]
-    weights = weights[keep]
-    members = [PureState(w[:, i] / math.sqrt(weights[i]))
-               for i in range(w.shape[1])]
     # Deterministic report: heaviest member first, global phase fixed so the
     # first non-negligible amplitude is real positive.
-    order = np.argsort(-weights, kind="stable")
-    weights = weights[order]
-    members = [members[i] for i in order]
-    fixed = []
-    for psi in members:
-        a = psi.amplitudes.copy()
+    kept, members = [], []
+    for i in np.argsort(-weights, kind="stable"):
+        if weights[i] <= WEIGHT_PRUNE_TOL:
+            break
+        a = w[:, i] / math.sqrt(weights[i])
         nz = np.flatnonzero(np.abs(a) > 1e-9)
         if nz.size:
             a = a * np.exp(-1j * np.angle(a[nz[0]]))
-        fixed.append(PureState(a / np.linalg.norm(a)))
-    return Ensemble(weights / weights.sum(), fixed)
+        kept.append(weights[i])
+        members.append(PureState(a / np.linalg.norm(a)))
+    kept = np.array(kept)
+    return Ensemble(kept / kept.sum(), members)
 
 
 def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
@@ -364,25 +349,18 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
     for k in range(restarts):
         m = sizes[k % len(sizes)]
         f, u = _lbfgs(random_isometry(m, r, rng_for(seed, k)), factor, target)
-        results.append((f, k, u))
+        results.append((f, u))
         if f <= target:
             break
     certified = results[-1][0] <= target
 
-    values = sorted(res[0] for res in results)
-    best_value = values[0]
+    values = sorted(f for f, _ in results)
     converged = certified or (
         len(values) >= 2 and (values[1] - values[0]) <= 1e-6)
-    # Tie-break equal-value restarts toward the smallest pruned ensemble.
-    candidates = [res for res in results if res[0] <= best_value + 1e-9]
-    best_ens = None
-    best_key = None
-    for f, k, u in candidates:
-        ens = _ensemble_from_isometry(u, factor)
-        key = (ens.size, k)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_ens = ens
+    # Tie-break equal-value restarts toward the smallest pruned ensemble,
+    # then the earliest restart (min keeps the first of equal sizes).
+    best_ens = min((_ensemble_from_isometry(u, factor) for f, u in results
+                    if f <= values[0] + 1e-9), key=lambda ens: ens.size)
     value = best_ens.average_coherence()
     return ConvexRoofResult(value=value, ensemble=best_ens,
                             restarts=len(results), converged=converged,

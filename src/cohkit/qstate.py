@@ -129,7 +129,7 @@ class DensityMatrix:
 
     @classmethod
     def from_dict(cls, data: dict, **kwargs) -> "DensityMatrix":
-        d = int(data["dim"])
+        d = _json_int(data["dim"])
         m = np.array([[_j2c(z) for z in row] for row in data["matrix"]],
                      dtype=complex)
         if m.shape != (d, d):
@@ -192,7 +192,7 @@ class PureState:
 
     @classmethod
     def from_dict(cls, data: dict, **kwargs) -> "PureState":
-        d = int(data["dim"])
+        d = _json_int(data["dim"])
         a = np.array([_j2c(z) for z in data["amplitudes"]], dtype=complex)
         if a.size != d:
             raise InvariantViolationError(
@@ -247,7 +247,8 @@ class BasisPartition:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BasisPartition":
-        return cls(int(data["dim"]), data["blocks"])
+        return cls(_json_int(data["dim"]),
+                   [[_json_int(i) for i in b] for b in data["blocks"]])
 
     def __repr__(self):
         return f"BasisPartition(dim={self.dim}, blocks={self.blocks})"
@@ -375,6 +376,22 @@ def _complex_json(a) -> list:
     return pair(a.real.tolist(), a.imag.tolist())
 
 
+def _json_number(obj) -> float:
+    """A JSON number (an int or a float, not a bool) as a float."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise InvariantViolationError(
+            "json_schema", f"expected a number, got {obj!r:.40}")
+    return float(obj)
+
+
+def _json_int(obj) -> int:
+    """A JSON number with an integral value (2 or 2.0) as an int."""
+    if not _json_number(obj).is_integer():
+        raise InvariantViolationError(
+            "json_schema", f"expected an integer, got {obj!r:.40}")
+    return int(obj)
+
+
 def _j2c(obj) -> complex:
     """A JSON number, or an object with keys among {"re", "im"} (a missing
     part is 0), as a complex number."""
@@ -382,8 +399,9 @@ def _j2c(obj) -> complex:
         if not obj or not obj.keys() <= _COMPLEX_KEYS:
             raise InvariantViolationError(
                 "json_schema", f"complex entry with keys {sorted(obj)}")
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    return complex(obj)
+        return complex(_json_number(obj.get("re", 0.0)),
+                       _json_number(obj.get("im", 0.0)))
+    return complex(_json_number(obj))
 
 
 def dumps_json(obj) -> str:

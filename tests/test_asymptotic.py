@@ -139,6 +139,16 @@ def test_typical_set_probability_against_enumeration(probs, n, delta):
     assert np.isclose(exact, brute, atol=1e-12)
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (2, 1), (2, 6), (3, 4),
+                                 (4, 3)])
+def test_sequences_are_product_rows(m, n):
+    from cohkit.asymptotic import _sequences
+    seqs = _sequences(m, n)
+    assert seqs.shape == (m ** n, n)
+    assert seqs.tolist() == [list(t) for t in
+                             itertools.product(range(m), repeat=n)]
+
+
 def test_typical_probability_budget():
     with pytest.raises(ResourceLimitError):
         ck.typical_set_probability([0.25] * 4, 10 ** 4, 0.01)

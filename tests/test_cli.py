@@ -195,6 +195,18 @@ def test_partition_file_as_state_is_exit_2(capsys, files, extra):
     # Valid JSON, but no float holds a 400-digit integer.
     pytest.param({"dim": 2, "amplitudes": [10 ** 400, 0]},
                  id="amplitude-overflows-float"),
+    # Entries, parts and dim are JSON numbers, never bools or strings.
+    pytest.param({"dim": 2, "matrix": [[True, 0], [0, False]]},
+                 id="bool-entries"),
+    pytest.param({"dim": 2, "matrix": [["0.5", 0.5], [0.5, 0.5]]},
+                 id="string-entry"),
+    pytest.param({"dim": 2, "matrix": [[0.5, 0.5], [0.5, {"re": "0.5"}]]},
+                 id="string-real-part"),
+    pytest.param({"dim": 2, "amplitudes": [{"im": True}, 1.0]},
+                 id="bool-imaginary-part"),
+    pytest.param({"dim": "2", "amplitudes": [0.6, 0.8]}, id="string-dim"),
+    pytest.param({"dim": 2.7, "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+                 id="non-integral-dim"),
 ])
 def test_wrong_typed_state_field_is_exit_2(capsys, files, content):
     path = files["dir"] / "state.json"
@@ -204,6 +216,84 @@ def test_wrong_typed_state_field_is_exit_2(capsys, files, content):
     assert code == 2
     assert out == ""
     assert json.loads(err)["invariant"] == "json_schema"
+
+
+def test_integral_float_dim_is_accepted(capsys, files):
+    path = files["dir"] / "state.json"
+    path.write_text(json.dumps({"dim": 2.0, "amplitudes": [0.6, 0.8]}))
+    code, out, _ = run(capsys, ["measure", "--state", str(path),
+                                "--which", "c"])
+    assert code == 0
+    assert np.isclose(json.loads(out)["value"], h2(0.36), atol=1e-12)
+
+
+def _channel_with_birkhoff():
+    target = ck.PureState(np.sqrt([0.7, 0.3]).astype(complex))
+    return ck.synthesize_pure_transformation(ck.maximally_coherent(2),
+                                             target).to_dict()
+
+
+def _set(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    pytest.param("ensemble", ("weights", 0), "0.5", id="weight-string"),
+    pytest.param("ensemble", ("weights", 1), True, id="weight-bool"),
+    pytest.param("partition", ("dim",), 2.5, id="partition-dim-fraction"),
+    pytest.param("partition", ("blocks", 0, 0), False, id="block-index-bool"),
+    pytest.param("partition", ("blocks", 1, 0), "1", id="block-index-string"),
+    pytest.param("channel", ("kraus", 0, 0, 0), True, id="kraus-entry-bool"),
+    pytest.param("channel", ("kraus", 0, 0, 0, "re"), "0.5",
+                 id="kraus-real-part-string"),
+    pytest.param("channel", ("certificates", 0, "j", 0), 0.5,
+                 id="certificate-j-fraction"),
+    pytest.param("channel", ("certificates", 0, "j", 1), "1",
+                 id="certificate-j-string"),
+    pytest.param("channel", ("certificates", 0, "c", 0), False,
+                 id="certificate-c-bool"),
+    pytest.param("channel", ("birkhoff", 0, "weight"), "0.5",
+                 id="birkhoff-weight-string"),
+    pytest.param("channel", ("birkhoff", 0, "perm", 0), True,
+                 id="birkhoff-perm-bool"),
+    pytest.param("channel", ("birkhoff", 0, "perm", 1), 1.5,
+                 id="birkhoff-perm-fraction"),
+])
+def test_wrong_typed_field_in_other_files_is_exit_2(capsys, files, kind,
+                                                     field, value):
+    channel = _channel_with_birkhoff()
+    data = {"ensemble": json.loads((files["dir"] / "ensemble.json")
+                                   .read_text()),
+            "partition": ck.BasisPartition(2, [[0], [1]]).to_dict(),
+            "channel": channel}[kind]
+    _set(data, field, value)
+    path = files["dir"] / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    argv = {"ensemble": ["simulate", "cover", "--state", str(path),
+                         "--n", "4", "--subset-size", "2", "--trials", "1"],
+            "partition": ["classify", "--channel", str(path.with_name(
+                "channel.json")), "--partition", str(path)],
+            "channel": ["classify", "--channel", str(path)]}[kind]
+    if kind == "partition":
+        path.with_name("channel.json").write_text(json.dumps(channel))
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["invariant"] == "json_schema"
+
+
+@pytest.mark.parametrize("j", [[0, 2], [0, -1]])
+def test_certificate_row_outside_kraus_is_exit_2(capsys, files, j):
+    path = files["dir"] / "channel.json"
+    data = ck.dephasing_channel(2).to_dict()
+    data["certificates"][1]["j"] = j
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["classify", "--channel", str(path)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["invariant"] == "certificate"
 
 
 def test_non_object_channel_file_is_exit_2(capsys, files):
@@ -266,6 +356,24 @@ def test_count_argument_below_one_is_exit_2(capsys, files, argv):
     assert code == 2  # argparse rejects it, as it does a bad --tolerance
     assert out == ""
     assert "0 is not >= 1" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "dilute", "--state", "@target", "--n", "5",
+                  "--delta"], id="delta"),
+    pytest.param(["simulate", "form", "--state", "@rho", "--n", "5",
+                  "--delta2"], id="delta2"),
+    pytest.param(["reversibility", "--state", "@rho", "--threshold"],
+                 id="threshold"),
+])
+def test_non_finite_or_negative_float_argument_is_exit_2(capsys, files,
+                                                         argv, value):
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    code, out, err = run(capsys, argv + [value])
+    assert code == 2  # a usage error: no report with NaN in it
+    assert out == ""
+    assert "is not a finite number >= 0" in err
 
 
 @pytest.mark.parametrize("protocol", ["concentrate", "dilute"])
@@ -359,6 +467,21 @@ def test_simulate_cover(capsys, files):
     summary = json.loads(out)
     assert summary["S"] == 10
     assert summary["median_deviation"] >= 0.0
+
+
+def test_simulate_cover_single_member_beyond_64_positions(capsys, files):
+    # One member admits any n within the m**n sequence budget, including
+    # lengths past numpy's 64-axis limit.
+    path = files["dir"] / "one.json"
+    save_json(ck.Ensemble(np.array([1.0]),
+                          [ck.PureState([0.6, 0.8])]).to_dict(), path)
+    code, out, _ = run(capsys, ["simulate", "cover", "--state", str(path),
+                                "--n", "70", "--subset-size", "1",
+                                "--trials", "1"])
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["M"] == 1
+    assert summary["median_deviation"] <= 1e-9
 
 
 def test_simulate_form(capsys, files):

@@ -265,6 +265,31 @@ def test_roof_preconditioner_is_positive_on_tangent_space():
         assert np.allclose(_tangent(u, pa), pa, atol=1e-10)
 
 
+def test_two_loop_satisfies_the_secant_equation():
+    # Whatever H0 is, the L-BFGS operator maps the newest y to the newest s,
+    # and only when the pairs are applied in their stored order.
+    from collections import deque
+    from cohkit.measures import (LBFGS_MEMORY, _inner, _spectral_preconditioner,
+                                 _two_loop)
+    gen = np.random.default_rng(71)
+    for _ in range(200):
+        d = int(gen.integers(2, 7))
+        factor = rand.random_density_matrix(
+            d, gen, int(gen.integers(1, d + 1))).factor()
+        r = factor.shape[1]
+        m = int(gen.choice([r, 2 * r, r * r]))
+        u = rand.random_isometry(m, r, gen)
+        memory = deque(maxlen=LBFGS_MEMORY)
+        for _ in range(int(gen.integers(1, 12))):
+            # y = B s for a random positive diagonal B, so sy > 0.
+            s = gen.standard_normal((m, r)) + 1j * gen.standard_normal((m, r))
+            y = gen.uniform(0.1, 10.0, (m, r)) * s
+            memory.append((s, y, 1.0 / _inner(s, y)))
+        s, y, _ = memory[-1]
+        hy = _two_loop(u, y, memory, _spectral_preconditioner(factor))
+        assert np.linalg.norm(hy - s) <= 1e-12 * np.linalg.norm(s)
+
+
 def test_ensemble_validation():
     with pytest.raises(InvariantViolationError):
         ck.Ensemble(np.array([0.5, 0.6]),
