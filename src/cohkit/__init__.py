@@ -27,7 +27,6 @@ from .qstate import (
     relative_entropy,
     shannon_entropy,
     tensor,
-    tensor_pure,
     trace_distance,
     von_neumann_entropy,
 )

@@ -3,8 +3,11 @@ formation, plus a statistical check of the operator covering bound and the
 rank-limited converse fidelity bound.
 
 Everything n-copy is represented through types (letter counts) and exact
-log-probabilities; no 2^n-dimensional object is ever materialized except in
-the explicitly small-dimension reconstruction path.
+log-probabilities.  Two checks hold n-copy objects, each in factored form:
+the covering check works in the span of a type class, through one Cholesky
+factor of its Gram matrix (a truncated eigendecomposition when the span is
+singular), and the formation reconstruction holds the d^n x K matrix whose
+columns are the protocol's output vectors, never a d^n x d^n one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import numpy as np
 from .errors import ResourceLimitError
 from .measures import Ensemble, coherence_of_formation, entropy_of_coherence, \
     relative_entropy_of_coherence
-from .qstate import DensityMatrix, PureState, fidelity, shannon_entropy
+from .qstate import DensityMatrix, PureState, shannon_entropy
+# Looked up here by the protocols benchmark, which traces it in place.
+from .qstate import fidelity  # noqa: F401
 from .rand import RNG_NAME, rng_for
 
 # Compute budgets ("budget exceeded" errors beyond these).
@@ -25,7 +30,8 @@ MAX_N_LOG_DIM = 1e7          # concentration: n * log2(dim)
 MAX_TYPE_COUNT = 2e7         # typical-set probability: number of types
 MAX_SEQUENCES = 1e5          # covering: full type-class enumeration
 MAX_GRAM = 4000              # covering: Gram-matrix side length
-MAX_RECONSTRUCT_DIM = 4096   # formation: dim**n for state reconstruction
+GRAM_ALPHABET = 64           # covering: block letters per Gram gather
+MAX_RECONSTRUCT_ENTRIES = 1 << 24  # formation: dim**n * (sequences + n)
 MEMBERSHIP_TOL = 1e-12       # absorbs float dust at typicality boundaries
 TYPE_CHUNK = 1 << 15         # types expanded at once by _type_mass
 LETTER_FLOOR = 1e-12         # letters below this probability are dropped
@@ -345,21 +351,27 @@ def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
 def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2):
     """Fidelity of the protocol's output with rho^(n), and its floor.
 
-    For each frequency-typical member sequence s, the output vector is built
-    in position order over all d**n letter sequences x: its entry is
+    For each frequency-typical member sequence s, the output vector v_s is
+    built in position order over all d**n letter sequences x: its entry is
     prod_t a_{s_t}(x_t), kept only when every member group's mean surprisal
-    lies within delta2 of its entropy, then normalized.
+    lies within delta2 of its entropy, then normalized.  The output state is
+    V V^dagger, where column s of V is v_s sqrt(p_s / P), so with
+    rho = B B^dagger its fidelity with rho^(n) is the nuclear norm of
+    (B^(x)n)^dagger V; B^dagger is applied one position at a time, and no
+    d**n x d**n matrix is formed.
     """
     d = rho.dim
-    if d ** n > MAX_RECONSTRUCT_DIM:
-        raise ResourceLimitError(
-            f"dim**n = {d ** n} exceeds {MAX_RECONSTRUCT_DIM}")
     weights = np.asarray(ensemble.weights, dtype=float)
     m = weights.size
     if float(m) ** n > MAX_SEQUENCES:
         raise ResourceLimitError("member sequence enumeration over budget")
     seqs, counts = _window_rows(
         m, n, *_freq_typical_log_prob_box(weights, n, delta1))
+    entries = d ** n * (seqs.shape[0] + n)
+    if entries > MAX_RECONSTRUCT_ENTRIES:
+        raise ResourceLimitError(
+            f"dim**n * (sequences + n) = {entries} exceeds "
+            f"{MAX_RECONSTRUCT_ENTRIES}")
 
     amps = np.stack([psi.amplitudes for psi in ensemble.members])
     probs = np.stack([psi.probabilities() for psi in ensemble.members])
@@ -368,30 +380,30 @@ def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2):
                              -np.log2(np.maximum(probs, 1e-300)), 0.0)
     entropies = np.array([shannon_entropy(p) for p in probs])
     grid = _sequences(d, n)
-    log_w = np.log(np.maximum(weights, 1e-300))
-    out = np.zeros((d ** n, d ** n), dtype=complex)
-    prob_typical = 0.0
-    for seq, c in zip(seqs, counts):
+    vecs = np.empty((seqs.shape[0], d ** n), dtype=complex)  # rows: v_s
+    for vec, seq, c in zip(vecs, seqs, counts):
         occ = c > 0
         group = (surprisal[seq, grid] @ (seq[:, None] == np.arange(m)))[:, occ]
         typical = np.all(np.abs(group / c[occ] - entropies[occ])
                          <= delta2 + MEMBERSHIP_TOL, axis=1)
-        vec = np.where(typical, np.prod(amps[seq, grid], axis=1), 0.0)
+        vec[:] = np.where(typical, np.prod(amps[seq, grid], axis=1), 0.0)
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise ResourceLimitError("typical set empty at this (n, delta)")
         vec /= norm
-        p_seq = math.exp(float(np.sum(c * log_w)))
-        prob_typical += p_seq
-        out += p_seq * np.outer(vec, vec.conj())
+    p_seq = np.exp(counts @ np.log(np.maximum(weights, 1e-300)))
+    prob_typical = float(p_seq.sum())
     if prob_typical == 0.0:
         raise ResourceLimitError("frequency-typical set empty; enlarge delta1")
-    out /= prob_typical
+    vecs *= np.sqrt(p_seq / prob_typical)[:, None]
 
-    exact = rho.matrix
-    for _ in range(n - 1):
-        exact = np.kron(exact, rho.matrix)
-    f = fidelity(DensityMatrix(exact), DensityMatrix(out))
+    factor = rho.factor().conj()
+    mode = vecs.reshape((-1,) + (d,) * n)
+    for _ in range(n):
+        # Contract the first remaining position; its new index goes last.
+        mode = np.tensordot(mode, factor, axes=(1, 0))
+    svals = np.linalg.svd(mode.reshape(vecs.shape[0], -1), compute_uv=False)
+    f = min(1.0, float(np.sum(svals)))
     # A group's fidelity with its exact copies: sqrt(Pr(typical set)).
     groups = {(j, int(c_j)) for c in counts for j, c_j in enumerate(c) if c_j}
     group_fid = min(math.sqrt(typical_set_probability(probs[j], c_j, delta2))
@@ -435,7 +447,11 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
     trial partitions it uniformly at random (without replacement) into
     subsets of size S and records the trace-norm deviation of each evaluated
     subset average from the class average.  Trace norms are computed in the
-    span of the class (Gram-matrix reduction), never in dimension d^n.
+    span of the class, never in dimension d^n: with the Gram matrix
+    G = F F^dagger (rows of F are the class sequences; a Cholesky factor, or
+    a truncated eigendecomposition when G is singular), the deviation of a
+    subset s is ||F_s^dagger F_s / S - F^dagger F / N||_1, a matrix with the
+    nonzero eigenvalues of the subset average minus the class average.
     """
     weights = np.asarray(ensemble.weights, dtype=float)
     m = weights.size
@@ -456,18 +472,31 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
         # Complex products of real overlaps have exactly zero imaginary
         # parts, so real arithmetic builds the same matrix, about 3x faster.
         overlap = overlap.real
+    # A block of positions is one letter of an m^k-letter alphabet, whose
+    # overlaps are the k-fold Kronecker power of the member overlaps.
+    step = 1
+    while step < n and m ** (step + 1) <= GRAM_ALPHABET:
+        step += 1
     gram = np.ones((big_n, big_n), dtype=overlap.dtype)
-    for t in range(n):
-        letters = seqs[:, t]
-        gram *= overlap[letters][:, letters]
-    gram = 0.5 * (gram + gram.conj().T)
-    if float(np.max(np.abs(gram.imag))) < 1e-14:
-        gram = gram.real  # real spans use the faster symmetric solver
-    lam, qmat = np.linalg.eigh(gram)
-    keep = lam > max(1e-12, 1e-12 * float(lam[-1]))
-    lam = lam[keep]
-    basis = qmat[:, keep] * np.sqrt(lam)      # rows: sequences, cols: span basis
-    class_term = np.diag(lam) / big_n
+    for t in range(0, n, step):
+        block = seqs[:, t:t + step]
+        letters = block @ m ** np.arange(block.shape[1] - 1, -1, -1)
+        table = overlap
+        for _ in range(block.shape[1] - 1):
+            table = np.kron(table, overlap)
+        gram *= np.take(table[letters], letters, axis=1)
+    if gram.dtype.kind == "c" and float(np.max(np.abs(gram.imag))) < 1e-14:
+        gram = gram.real  # real spans use the faster real solvers
+    try:
+        # Rows of the factor F (G = F F^dagger) are the class sequences.
+        basis = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        # A singular span: keep the eigenpairs above the rounding floor.
+        lam, qmat = np.linalg.eigh(gram)
+        keep = lam > max(1e-12, 1e-12 * float(lam[-1]))
+        basis = qmat[:, keep] * np.sqrt(lam[keep])
+    class_term = basis.conj().T @ basis
+    class_term /= big_n
 
     n_subsets = big_n // S
     cap = n_subsets if max_subsets_per_trial is None else min(
@@ -477,9 +506,10 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
         rng = rng_for(seed, t)
         perm = rng.permutation(big_n)
         for s_idx in range(cap):
-            idx = perm[s_idx * S:(s_idx + 1) * S]
-            sub = basis[idx]
-            diff = (sub.conj().T @ sub) / S - class_term
+            sub = basis[perm[s_idx * S:(s_idx + 1) * S]]
+            diff = sub.conj().T @ sub
+            diff /= S
+            diff -= class_term
             eigs = np.linalg.eigvalsh(diff)
             deviations.append(float(np.sum(np.abs(eigs))))
     fraction_good = {eps: float(np.mean(np.asarray(deviations) < eps))

@@ -61,18 +61,24 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix, *, atol: float = HERMITIAN_ATOL):
-        m = _as_complex_matrix(matrix)
-        herm_defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        # Halved first (exactly), so that sums of finite entries near the
+        # float maximum stay finite.
+        half = 0.5 * _as_complex_matrix(matrix)
+        herm_defect = 2.0 * float(np.max(np.abs(half - half.conj().T))) \
+            if half.size else 0.0
         if herm_defect > atol:
             raise InvariantViolationError(
                 "hermitian", f"max deviation {herm_defect:.3e} > {atol:.1e}")
-        m = 0.5 * (m + m.conj().T)
-        tr = float(np.real(np.trace(m)))
+        m = half + half.conj().T
+        # A Python sum: past the float maximum it is inf, with no warning.
+        tr = sum(m.diagonal().real.tolist())
         if abs(tr - 1.0) > atol:
             raise InvariantViolationError(
                 "unit_trace", f"trace {tr!r} deviates by {abs(tr - 1.0):.3e}")
         vals, vecs = np.linalg.eigh(m)
-        if vals[0] < PSD_FLOOR:
+        # Written to fail on NaN: eigh returns all-NaN eigenvalues when
+        # entries near the float maximum overflow inside it.
+        if not vals[0] >= PSD_FLOOR:
             raise InvariantViolationError(
                 "positive_semidefinite", f"min eigenvalue {vals[0]:.3e}")
         for a in (m, vals, vecs):
@@ -354,14 +360,6 @@ def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
         raise ResourceLimitError(
             f"tensor output dim {out_dim} exceeds cap {DIM_CAP}")
     return DensityMatrix(np.kron(rho.matrix, sigma.matrix))
-
-
-def tensor_pure(a: PureState, b: PureState) -> PureState:
-    out_dim = a.dim * b.dim
-    if out_dim > DIM_CAP:
-        raise ResourceLimitError(
-            f"tensor output dim {out_dim} exceeds cap {DIM_CAP}")
-    return PureState(np.kron(a.amplitudes, b.amplitudes))
 
 
 # -- JSON helpers -------------------------------------------------------------

@@ -338,6 +338,24 @@ def test_formation_reconstruction_empty_typical_set_matches_reference():
                               reconstruct=True)
 
 
+def test_formation_reconstruction_in_2187_dimensions_beats_floor():
+    # d = 3, n = 7: the output state is held through its factor only.
+    ens = _random_ensemble(3, 2, [3, 2, 7], False)
+    trace = ck.simulate_formation(ens.reconstruct(), 7, 0.25, 1.5, seed=1,
+                                  ensemble=ens, trials=1, reconstruct=True)
+    assert trace.fidelity_floor - 1e-9 <= trace.reconstruction_fidelity \
+        <= 1.0 + 1e-12
+
+
+def test_formation_reconstruction_budget():
+    # delta1 = 0.5 keeps all 2^12 member sequences: 4096 * (4096 + 12)
+    # entries of V and the letter grid, just past the budget.
+    ens = _random_ensemble(2, 2, [2, 2, 12], False)
+    with pytest.raises(ResourceLimitError, match="exceeds"):
+        ck.simulate_formation(ens.reconstruct(), 12, 0.5, 1.0, ensemble=ens,
+                              trials=1, reconstruct=True)
+
+
 @pytest.mark.parametrize("w,n,delta", [
     ([0.6, 0.4], 12, 0.15),
     ([0.9, 0.1], 10, 0.2),         # windows clipped at n and at 0
@@ -431,25 +449,40 @@ def _explicit_deviations(ensemble, n, S, trials, seed):
 
 
 R2 = 2 ** -0.5
+PHASE = np.exp(0.7j)
 
 
-@pytest.mark.parametrize("amplitudes,n,S", [
-    pytest.param([[1, 0], [R2, R2]], n, S, id=f"real-0-plus-n{n}-S{S}")
-    for n, S in [(2, 1), (4, 2), (6, 5)]] + [
-    pytest.param([[R2, R2], [R2, 1j * R2]], n, S,
+@pytest.mark.parametrize("amplitudes,n,S,singular", [
+    pytest.param([[1, 0], [R2, R2]], n, S, False, id=f"real-0-plus-n{n}-S{S}")
+    # n = 8: a class of 70 sequences, which S = 3 does not divide.
+    for n, S in [(2, 1), (4, 2), (6, 5), (8, 3)]] + [
+    pytest.param([[R2, R2], [R2, 1j * R2]], n, S, False,
                  id=f"complex-plus-plusi-n{n}-S{S}")
     for n, S in [(2, 1), (4, 2), (6, 5)]] + [
     # Three members: the phase of <0|+><+|+i><+i|0> cannot be removed by
-    # member phases, so this span is not a real one in disguise.
-    pytest.param([[1, 0], [R2, R2], [R2, 1j * R2]], 6, 4,
+    # member phases, so this span is not a real one in disguise.  Its 90
+    # sequences lie in 64 dimensions.
+    pytest.param([[1, 0], [R2, R2], [R2, 1j * R2]], 6, 4, True,
                  id="complex-0-plus-plusi-n6-S4"),
+    # Members equal up to a global phase: complex overlaps, a span of one
+    # vector.
+    pytest.param([[0.6, 0.8j], [0.6 * PHASE, 0.8j * PHASE]], 8, 3, True,
+                 id="phase-only-n8-S3"),
 ])
-def test_covering_matches_explicit_product_states(amplitudes, n, S):
+def test_covering_matches_explicit_product_states(amplitudes, n, S, singular,
+                                                  monkeypatch):
     m = len(amplitudes)
     ens = ck.Ensemble(np.full(m, 1.0 / m),
                       [ck.PureState(np.array(a, dtype=complex))
                        for a in amplitudes])
+    eigh, solves = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: solves.append(a.shape) or eigh(a))
     rep = ck.covering_check(ens, n, S, trials=2, seed=3)
+    monkeypatch.undo()
+    # A singular Gram matrix has no Cholesky factor; only then is it
+    # diagonalized.
+    assert bool(solves) == singular
     explicit = _explicit_deviations(ens, n, S, trials=2, seed=3)
     assert len(rep.deviations) == len(explicit)
     assert np.allclose(rep.deviations, explicit, rtol=0.0, atol=1e-10)

@@ -172,6 +172,36 @@ def test_nan_state_is_exit_2(capsys, files):
     assert json.loads(err)["invariant"] == "finite"
 
 
+@pytest.mark.parametrize("matrix,invariant", [
+    pytest.param([[1e308, 1e308], [1e308, 0.5]], "unit_trace",
+                 id="sums-overflow"),
+    pytest.param([[1.7e308, 0, 0], [0, 1.7e308, 0], [0, 0, 1.7e308]],
+                 "unit_trace", id="trace-overflows"),
+    # Hermitian with unit trace, but eigh overflows inside and returns NaN.
+    pytest.param([[0.5, {"re": 1.7e308, "im": 1.7e308}],
+                   [{"re": 1.7e308, "im": -1.7e308}, 0.5]],
+                 "positive_semidefinite", id="eigh-overflows"),
+])
+def test_entries_near_the_float_maximum_are_exit_2(capsys, files, matrix,
+                                                   invariant):
+    # Finite entries whose arithmetic overflows: an invariant is named, no
+    # RuntimeWarning is printed, and python -W error exits 2 as well.
+    big = files["dir"] / "big.json"
+    big.write_text(json.dumps({"dim": len(matrix), "matrix": matrix}))
+    argv = ["measure", "--which", "cr", "--state", str(big)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["invariant"] == invariant
+    src = str(Path(ck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cohkit.cli"]
+                          + argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["invariant"] == invariant
+
+
 @pytest.mark.parametrize("extra", [[], ["--tolerance", "1e-8"]])
 def test_partition_file_as_state_is_exit_2(capsys, files, extra):
     path = files["dir"] / "partition.json"

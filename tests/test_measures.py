@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohkit as ck
 from cohkit import rand
@@ -341,14 +343,18 @@ def test_cr_continuity_property(rng):
 
 # -- additivity, convexity, monotonicity ----------------------------------------------
 
-def test_cr_additivity(rng):
-    for _ in range(25):
-        a = rand.random_density_matrix(int(rng.integers(2, 5)), rng)
-        b = rand.random_density_matrix(int(rng.integers(2, 5)), rng)
-        lhs = ck.relative_entropy_of_coherence(ck.tensor(a, b))
-        rhs = (ck.relative_entropy_of_coherence(a)
-               + ck.relative_entropy_of_coherence(b))
-        assert abs(lhs - rhs) <= 1e-8
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(dims=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+       ranks=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cr_additivity(dims, ranks, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (rand.random_density_matrix(d, rng, rank=min(r, d))
+            for d, r in zip(dims, ranks))
+    lhs = ck.relative_entropy_of_coherence(ck.tensor(a, b))
+    rhs = (ck.relative_entropy_of_coherence(a)
+           + ck.relative_entropy_of_coherence(b))
+    assert abs(lhs - rhs) <= 1e-9
 
 
 def test_cf_additivity_one_sided(rng):

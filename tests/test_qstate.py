@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohkit as ck
 from cohkit import rand
@@ -98,14 +100,17 @@ def test_dephase_block_partition_keeps_blocks():
     assert np.allclose(out.matrix, expected)
 
 
-def test_dephase_idempotent(rng):
-    for _ in range(25):
-        d = int(rng.integers(2, 8))
-        rho = rand.random_density_matrix(d, rng)
-        part = ck.BasisPartition(d, rand.random_partition(d, rng, min_blocks=1))
-        once = ck.dephase(rho, part)
-        twice = ck.dephase(once, part)
-        assert np.max(np.abs(once.matrix - twice.matrix)) <= 1e-12
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(labels=st.lists(st.integers(0, 6), min_size=1, max_size=7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dephase_idempotent(labels, seed):
+    # Index i goes to block labels[i]: every partition of up to 7 indices.
+    d = len(labels)
+    blocks = [[i for i, b in enumerate(labels) if b == label]
+              for label in sorted(set(labels))]
+    part = ck.BasisPartition(d, blocks)
+    once = ck.dephase(rand.random_density_matrix(d, seed), part)
+    assert np.array_equal(ck.dephase(once, part).matrix, once.matrix)
 
 
 def test_dephase_dimension_mismatch():
