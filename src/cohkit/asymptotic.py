@@ -12,6 +12,7 @@ columns are the protocol's output vectors, never a d^n x d^n one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .rand import RNG_NAME, rng_for
 # Compute budgets ("budget exceeded" errors beyond these).
 MAX_N_LOG_DIM = 1e7          # concentration: n * log2(dim)
 MAX_TYPE_COUNT = 2e7         # typical-set probability: number of types
-MAX_SEQUENCES = 1e5          # covering: full type-class enumeration
+MAX_SEQUENCES = 1e5          # m**n member sequences enumerated at once
 MAX_GRAM = 4000              # covering: Gram-matrix side length
 GRAM_ALPHABET = 64           # covering: block letters per Gram gather
 MAX_RECONSTRUCT_ENTRIES = 1 << 24  # formation: dim**n * (sequences + n)
@@ -204,6 +205,8 @@ def _sequences(m: int, n: int) -> np.ndarray:
 def _window_rows(m: int, n: int, lo, hi):
     """The rows of ``_sequences(m, n)`` whose letter counts c satisfy
     lo <= c <= hi, still in lexicographic order, and their counts."""
+    if float(m) ** n > MAX_SEQUENCES:
+        raise ResourceLimitError(f"{m}^{n} sequences over budget")
     seqs = _sequences(m, n)
     counts = (seqs[:, :, None] == np.arange(m)).sum(axis=1)
     keep = np.all((counts >= lo) & (counts <= hi), axis=1)
@@ -321,7 +324,13 @@ def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
     weights = weights / weights.sum()
     coherences = np.array([entropy_of_coherence(m) for m in ensemble.members])
     target = float(np.dot(weights, coherences))
-    m = weights.size
+
+    @functools.cache
+    def group_fidelity(j: int, c: int) -> float:
+        """Fidelity of c diluted copies of member j with their exact
+        copies: sqrt(Pr(typical set)), 1 for a member with one letter."""
+        return math.sqrt(typical_set_probability(
+            ensemble.members[j].probabilities(), c, delta2))
 
     rates = []
     fidelities = []
@@ -330,25 +339,21 @@ def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
         counts = _sample_typical_counts(weights, n, delta1, rng)
         freqs = counts / n
         rates.append(float(np.dot(freqs + delta1, coherences + delta2)))
-        fid = 1.0
-        for j in range(m):
-            if counts[j] == 0 or coherences[j] == 0.0:
-                continue
-            pr = typical_set_probability(ensemble.members[j].probabilities(),
-                                         int(counts[j]), delta2)
-            fid *= math.sqrt(pr)
-        fidelities.append(fid)
+        fidelities.append(math.prod(group_fidelity(j, int(c_j))
+                                    for j, c_j in enumerate(counts) if c_j))
 
     trace = ProtocolTrace(n=n, trials=trials, rates=rates,
                           mean_rate=float(np.mean(rates)),
                           fidelity=fidelities, target_rate=target, seed=seed)
     if reconstruct:
         trace.reconstruction_fidelity, trace.fidelity_floor = \
-            _reconstruct_formation_output(rho, ensemble, n, delta1, delta2)
+            _reconstruct_formation_output(rho, ensemble, n, delta1, delta2,
+                                          group_fidelity)
     return trace
 
 
-def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2):
+def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2,
+                                  group_fidelity):
     """Fidelity of the protocol's output with rho^(n), and its floor.
 
     For each frequency-typical member sequence s, the output vector v_s is
@@ -358,13 +363,12 @@ def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2):
     V V^dagger, where column s of V is v_s sqrt(p_s / P), so with
     rho = B B^dagger its fidelity with rho^(n) is the nuclear norm of
     (B^(x)n)^dagger V; B^dagger is applied one position at a time, and no
-    d**n x d**n matrix is formed.
+    d**n x d**n matrix is formed.  The floor takes the worst group
+    fidelity, ``group_fidelity(j, c)``, over the groups that occur.
     """
     d = rho.dim
     weights = np.asarray(ensemble.weights, dtype=float)
     m = weights.size
-    if float(m) ** n > MAX_SEQUENCES:
-        raise ResourceLimitError("member sequence enumeration over budget")
     seqs, counts = _window_rows(
         m, n, *_freq_typical_log_prob_box(weights, n, delta1))
     entries = d ** n * (seqs.shape[0] + n)
@@ -404,11 +408,9 @@ def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2):
         mode = np.tensordot(mode, factor, axes=(1, 0))
     svals = np.linalg.svd(mode.reshape(vecs.shape[0], -1), compute_uv=False)
     f = min(1.0, float(np.sum(svals)))
-    # A group's fidelity with its exact copies: sqrt(Pr(typical set)).
     groups = {(j, int(c_j)) for c in counts for j, c_j in enumerate(c) if c_j}
-    group_fid = min(math.sqrt(typical_set_probability(probs[j], c_j, delta2))
-                    for j, c_j in groups)
-    return f, prob_typical * group_fid ** m
+    worst = min(group_fidelity(j, c_j) for j, c_j in groups)
+    return f, prob_typical * worst ** m
 
 
 @dataclass
@@ -455,8 +457,6 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
     """
     weights = np.asarray(ensemble.weights, dtype=float)
     m = weights.size
-    if float(m) ** n > MAX_SEQUENCES:
-        raise ResourceLimitError(f"{m}^{n} sequences over budget")
     counts = _apportion_counts(weights, n)
     seqs, _ = _window_rows(m, n, counts, counts)  # the type class
     big_n = seqs.shape[0]

@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 malformed input file (with parse location),
-2 invariant violation (naming the invariant), 3 transformation impossible
-(with the majorization witness).  An input file whose JSON parses but has a
-missing or wrong-typed field is the invariant violation ``json_schema``.
+Exit codes: 0 success; 1 an input file that is missing, unreadable (say a
+directory, or not UTF-8) or malformed (with parse location), or an ``--out``
+path that cannot be written, each with one ``error:`` line on stderr;
+2 invariant violation (naming the invariant); 3 transformation impossible
+(with the majorization witness); 4 a failed ``selftest``.  An input file
+whose JSON parses but has a missing or wrong-typed field is the invariant
+violation ``json_schema``.
 The count arguments ``--n``, ``--trials``, ``--restarts`` and
 ``--subset-size`` must be integers >= 1, and ``--delta``, ``--delta2`` and
 ``--threshold`` finite numbers >= 0.  Identical (arguments, seed) pairs
@@ -51,7 +54,6 @@ from .qstate import (
     BasisPartition,
     PureState,
     dumps_json,
-    save_json,
     state_from_dict,
 )
 from .rand import RNG_NAME
@@ -85,32 +87,45 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
-def _load_json_file(path: str) -> dict:
+def _load(path: str, build):
+    """``build`` applied to the parsed file: the one reader of input files.
+
+    A file that cannot be opened, decoded or parsed (including a JSON
+    integer past Python's digit limit) exits 1 with one ``error:`` line; a missing or wrong-typed field is the invariant
+    violation ``json_schema``, not a traceback."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(f"error: no such file: {path}")
     except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON in {path} at line {exc.lineno} "
-              f"column {exc.colno}: {exc.msg}", file=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(f"error: malformed JSON in {path} at line "
+                         f"{exc.lineno} column {exc.colno}: {exc.msg}")
     except RecursionError:
-        print(f"error: JSON nesting too deep in {path}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def _load(path: str, build):
-    """``build`` applied to the parsed file; a missing or wrong-typed field
-    is the invariant violation ``json_schema``, not a traceback."""
-    data = _load_json_file(path)
+        raise SystemExit(f"error: JSON nesting too deep in {path}")
+    except (OSError, ValueError) as exc:  # also not UTF-8, or a NUL in path
+        raise SystemExit(f"error: cannot read {path}: {exc}")
     try:
         return build(data)
     except (AttributeError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise InvariantViolationError(
             "json_schema", f"{type(exc).__name__}: {exc}")
+
+
+def _write(path: str, out) -> None:
+    """The one writer of ``--out``: a ``(header, rows)`` table as CSV,
+    anything else as JSON."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            if isinstance(out, tuple):
+                writer = csv.writer(fh)
+                writer.writerow(out[0])
+                writer.writerows(out[1])
+            else:
+                fh.write(dumps_json(out) + "\n")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc}")
 
 
 def _load_state(path: str, tolerance: float | None):
@@ -128,20 +143,10 @@ def _pure(state, detail: str) -> PureState:
     return state
 
 
-def _emit(report: dict, out_path: str | None):
-    print(dumps_json(report))
-    if out_path:
-        save_json(report, out_path)
+# Each command maps ``args`` to ``(report, out)``: the report goes to
+# stdout, ``out`` is what ``--out`` writes.
 
-
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _cmd_measure(args) -> int:
+def _cmd_measure(args):
     state = _load_state(args.state, args.tolerance)
     report = {"command": "measure", "which": args.which, "seed": args.seed,
               "rng": RNG_NAME, "log_base": 2}
@@ -158,11 +163,10 @@ def _cmd_measure(args) -> int:
                                         restarts=args.restarts, seed=args.seed)
         report.update(result.to_dict())
     report[args.which] = report["value"]
-    _emit(report, args.out)
-    return 0
+    return report, report
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args):
     source = _load_state(args.source, args.tolerance)
     target = _load_state(args.target, args.tolerance)
     detail = "transform takes pure-state JSON files"
@@ -174,13 +178,11 @@ def _cmd_transform(args) -> int:
               "class": channel.class_label,
               "completeness_defect": channel.completeness_defect(),
               "channel": channel_dict}
-    _emit(report, None)
-    if args.out:  # the channel file itself, loadable by `classify`
-        save_json(channel_dict, args.out)
-    return 0
+    # --out is the channel file itself, loadable by `classify`.
+    return report, channel_dict
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     # A transform report is accepted too: its channel is under "channel".
     channel = _load(args.channel, lambda data: IncoherentChannel.from_dict(
         data.get("channel", data)))
@@ -189,70 +191,56 @@ def _cmd_classify(args) -> int:
         partition = _load(args.partition, BasisPartition.from_dict)
     report = {"command": "classify", "seed": args.seed,
               "class": classify_channel(channel, partition)}
-    _emit(report, args.out)
-    return 0
+    return report, report
 
 
-def _cmd_reversibility(args) -> int:
+def _cmd_reversibility(args):
     rho = _as_density(_load_state(args.state, args.tolerance))
     verdict = is_reversible(rho, threshold=args.threshold,
                             restarts=args.restarts, seed=args.seed)
     report = {"command": "reversibility", "seed": args.seed,
               "threshold": args.threshold}
     report.update(verdict.to_dict())
-    _emit(report, args.out)
-    return 0
+    return report, report
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
+    """A summary report, and a CSV table with one row per trial (per
+    evaluated subset for ``cover``)."""
     seed = args.seed
-    if args.protocol in ("concentrate", "dilute"):
-        psi = _pure(_load_state(args.state, args.tolerance),
-                    f"{args.protocol} takes a pure state")
-        if args.protocol == "concentrate":
-            trace = simulate_concentration(psi, args.n, args.trials,
-                                           seed=seed)
+    report = {"command": "simulate", "protocol": args.protocol,
+              "seed": seed, "rng": RNG_NAME, "n": args.n}
+    if args.protocol == "cover":
+        cover = covering_check(_load(args.state, Ensemble.from_dict), args.n,
+                               args.subset_size, args.trials, seed=seed)
+        report.update(S=cover.S, M=cover.M,
+                      median_deviation=float(np.median(cover.deviations)),
+                      fraction_good={str(k): v for k, v
+                                     in cover.fraction_good.items()})
+        header = ["subset", "n", "deviation", "seed"]
+        columns = [cover.deviations]
+    else:
+        state = _load_state(args.state, args.tolerance)
+        if args.protocol == "form":
+            trace = simulate_formation(_as_density(state), args.n, args.delta,
+                                       args.delta2, seed=seed,
+                                       trials=args.trials,
+                                       restarts=args.restarts)
         else:
-            trace = simulate_dilution(psi, args.n, args.delta, seed=seed)
-    elif args.protocol == "form":
-        rho = _as_density(_load_state(args.state, args.tolerance))
-        trace = simulate_formation(rho, args.n, args.delta, args.delta2,
-                                   seed=seed, trials=args.trials,
-                                   restarts=args.restarts)
-    else:  # cover
-        ensemble = _load(args.state, Ensemble.from_dict)
-        report = covering_check(ensemble, args.n, args.subset_size,
-                                args.trials, seed=seed)
-        summary = {"command": "simulate", "protocol": "cover", "seed": seed,
-                   "rng": RNG_NAME, "n": args.n, "S": report.S,
-                   "M": report.M,
-                   "median_deviation": float(np.median(report.deviations)),
-                   "fraction_good": {str(k): v
-                                     for k, v in report.fraction_good.items()}}
-        if args.out:
-            _write_csv(args.out, ["subset", "n", "deviation", "seed"],
-                       ([i, args.n, repr(float(dev)), seed]
-                        for i, dev in enumerate(report.deviations)))
-        _emit(summary, None)
-        return 0
-    if args.out:
-        _write_csv(args.out, ["trial", "n", "rate", "fidelity", "seed"],
-                   ([t, trace.n, repr(float(rate)), repr(float(fid)), seed]
-                    for t, (rate, fid) in enumerate(zip(trace.rates,
-                                                        trace.fidelity))))
-    summary = {"command": "simulate", "protocol": args.protocol,
-               "seed": seed, "rng": RNG_NAME, "n": trace.n,
-               "trials": trace.trials, "mean_rate": trace.mean_rate,
-               "std_rate": float(np.std(trace.rates)),
-               "mean_fidelity": float(np.mean(trace.fidelity)),
-               "target_rate": trace.target_rate}
-    _emit(summary, None)
-    return 0
-
-
-def _cmd_selftest(args) -> int:
-    ok = run_selftest(seed=args.seed)
-    return 0 if ok else 4
+            psi = _pure(state, f"{args.protocol} takes a pure state")
+            trace = (simulate_dilution(psi, args.n, args.delta, seed=seed)
+                     if args.protocol == "dilute" else
+                     simulate_concentration(psi, args.n, args.trials,
+                                            seed=seed))
+        report.update(trials=trace.trials, mean_rate=trace.mean_rate,
+                      std_rate=float(np.std(trace.rates)),
+                      mean_fidelity=float(np.mean(trace.fidelity)),
+                      target_rate=trace.target_rate)
+        header = ["trial", "n", "rate", "fidelity", "seed"]
+        columns = [trace.rates, trace.fidelity]
+    rows = ([i, args.n, *(repr(float(v)) for v in values), seed]
+            for i, values in enumerate(zip(*columns)))
+    return report, (header, rows)
 
 
 @functools.lru_cache(maxsize=1)
@@ -324,19 +312,28 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the invariant suite")
     common(p)
-    p.set_defaults(fn=_cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command: write ``--out`` first, then print the report; the
+    one place exceptions become exit codes."""
     try:
         args = _build_parser(
             os.environ.get("COHKIT_SEED", "0")).parse_args(argv)
-        return args.fn(args)
-    except SystemExit as exc:  # argparse errors and parse failures
-        code = exc.code
-        return code if isinstance(code, int) else 1
+        if args.command == "selftest":
+            return 0 if run_selftest(seed=args.seed) else 4
+        report, out = args.fn(args)
+        if args.out:
+            _write(args.out, out)
+        print(dumps_json(report))
+        return 0
+    except SystemExit as exc:
+        if isinstance(exc.code, int):  # argparse: usage errors, --version
+            return exc.code
+        print(exc.code, file=sys.stderr)  # files that cannot be read/written
+        return 1
     except TransformationImpossibleError as exc:
         report = {"error": "transformation_impossible", "detail": str(exc)}
         if exc.witness is not None:

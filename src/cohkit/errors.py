@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto its exit codes: malformed input files give exit 1,
-:class:`InvariantViolationError` gives exit 2 and
-:class:`TransformationImpossibleError` gives exit 3.
+The CLI maps these onto its exit codes: input files that are missing,
+unreadable (a directory, or not UTF-8) or malformed, and ``--out`` paths
+that cannot be written, give exit 1; :class:`InvariantViolationError` and
+the other errors here give exit 2; :class:`TransformationImpossibleError`
+gives exit 3.  A failed ``selftest`` exits 4.
 """
 
 

@@ -86,6 +86,21 @@ class KrausOperator:
             raise InvariantViolationError(
                 "certificate", f"max deviation {defect:.3e}")
 
+    @classmethod
+    def from_certificate(cls, j_map, coefficients,
+                         rows: int) -> "KrausOperator":
+        """The rows x len(j_map) operator sum_i c(i) |j(i)><i|."""
+        j_map = np.asarray(j_map, dtype=int)
+        m = np.zeros((rows, j_map.size), dtype=complex)
+        m[j_map, np.arange(j_map.size)] = coefficients
+        return cls(m, j_map=j_map, coefficients=coefficients)
+
+    def scaled(self, factor) -> "KrausOperator":
+        """factor * K, with its certificate scaled alike."""
+        coefficients = (None if self.coefficients is None
+                        else factor * self.coefficients)
+        return KrausOperator(factor * self.entries, self.j_map, coefficients)
+
     @property
     def rows(self) -> int:
         return self.entries.shape[0]
@@ -446,15 +461,12 @@ def synthesize_pure_transformation(source: PureState,
     q_hat = witness.bistochastic @ p
     src_phase = np.angle(source.amplitudes)
     tgt_phase = np.angle(target.amplitudes)
-    cols = np.arange(d)
     kraus = []
     for lam, perm in witness.birkhoff:
         weight = np.divide(lam * p[perm], q_hat, out=np.full(d, lam),
                            where=q_hat > 0)
         coeff = np.sqrt(weight) * np.exp(1j * (tgt_phase[perm] - src_phase))
-        m = np.zeros((d, d), dtype=complex)
-        m[perm, cols] = coeff
-        kraus.append(KrausOperator(m, j_map=perm, coefficients=coeff))
+        kraus.append(KrausOperator.from_certificate(perm, coeff, d))
     return IncoherentChannel(kraus, class_label=STRICTLY_INCOHERENT,
                              birkhoff=witness.birkhoff)
 
@@ -472,10 +484,7 @@ def generate_from_maximally_coherent(target: DensityMatrix) -> IncoherentChannel
     for w, idx in zip(weights, keep):
         branch = synthesize_pure_transformation(source,
                                                 PureState(vecs[:, idx]))
-        for k in branch.kraus:
-            kraus.append(KrausOperator(math.sqrt(w) * k.entries,
-                                       j_map=k.j_map,
-                                       coefficients=math.sqrt(w) * k.coefficients))
+        kraus += [k.scaled(math.sqrt(w)) for k in branch.kraus]
     channel = IncoherentChannel(kraus)
     channel.class_label = classify_channel(channel)
     return channel
@@ -503,21 +512,13 @@ def cnot_channel(d: int = 2) -> IncoherentChannel:
     for i in range(d):
         for j in range(d):
             perm[i * d + j] = i * d + (i + j) % d
-    m = np.zeros((dim, dim), dtype=complex)
-    m[perm, np.arange(dim)] = 1.0
     return IncoherentChannel(
-        [KrausOperator(m, j_map=perm, coefficients=np.ones(dim))],
+        [KrausOperator.from_certificate(perm, np.ones(dim), dim)],
         class_label=STRICTLY_INCOHERENT)
 
 
 def dephasing_channel(d: int) -> IncoherentChannel:
     """Kraus set {|i><i|}; implements the singleton pinching."""
-    kraus = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, i] = 1.0
-        j_map = np.full(d, i, dtype=int)
-        coeff = np.zeros(d, dtype=complex)
-        coeff[i] = 1.0
-        kraus.append(KrausOperator(m, j_map=j_map, coefficients=coeff))
+    kraus = [KrausOperator.from_certificate(np.full(d, i), np.eye(d)[i], d)
+             for i in range(d)]
     return IncoherentChannel(kraus, class_label=STRICTLY_INCOHERENT)

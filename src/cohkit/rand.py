@@ -101,13 +101,9 @@ def random_strictly_incoherent_channel(d: int, n_kraus: int,
     coeff = rng.standard_normal((n_kraus, d)) + 1j * rng.standard_normal(
         (n_kraus, d))
     coeff /= np.linalg.norm(coeff, axis=0, keepdims=True)
-    kraus = []
-    for ell in range(n_kraus):
-        perm = rng.permutation(d)
-        m = np.zeros((d, d), dtype=complex)
-        m[perm, np.arange(d)] = coeff[ell]
-        kraus.append(KrausOperator(m, j_map=perm, coefficients=coeff[ell]))
-    return IncoherentChannel(kraus)
+    return IncoherentChannel([
+        KrausOperator.from_certificate(rng.permutation(d), c, d)
+        for c in coeff])
 
 
 def random_merge_channel(d: int, rng, rows: int | None = None) -> IncoherentChannel:
@@ -123,11 +119,8 @@ def random_merge_channel(d: int, rng, rows: int | None = None) -> IncoherentChan
     kraus = []
     for ell in range(rows):
         t = int(rng.integers(0, d))
-        w = v[ell].conj()
-        m = np.zeros((d, d), dtype=complex)
-        m[t, :] = w
-        kraus.append(KrausOperator(m, j_map=np.full(d, t, dtype=int),
-                                   coefficients=w))
+        kraus.append(KrausOperator.from_certificate(np.full(d, t),
+                                                    v[ell].conj(), d))
     return IncoherentChannel(kraus)
 
 
@@ -138,12 +131,8 @@ def random_incoherent_channel(d: int, n_kraus: int, rng) -> IncoherentChannel:
     lam = float(rng.uniform(0.2, 0.8))
     strict = random_strictly_incoherent_channel(d, n_kraus, rng)
     merge = random_merge_channel(d, rng)
-    kraus = [KrausOperator(np.sqrt(lam) * k.entries, j_map=k.j_map,
-                           coefficients=np.sqrt(lam) * k.coefficients)
-             for k in strict.kraus]
-    kraus += [KrausOperator(np.sqrt(1 - lam) * k.entries, j_map=k.j_map,
-                            coefficients=np.sqrt(1 - lam) * k.coefficients)
-              for k in merge.kraus]
+    kraus = [k.scaled(np.sqrt(lam)) for k in strict.kraus]
+    kraus += [k.scaled(np.sqrt(1 - lam)) for k in merge.kraus]
     return IncoherentChannel(kraus)
 
 

@@ -32,6 +32,8 @@ def files(tmp_path):
                        ck.PureState(np.sqrt([0.5, 0.5]).astype(complex))])
     save_json(ens.to_dict(), tmp_path / "ensemble.json")
     paths["ensemble"] = str(tmp_path / "ensemble.json")
+    save_json(ck.dephasing_channel(2).to_dict(), tmp_path / "channel.json")
+    paths["channel"] = str(tmp_path / "channel.json")
     paths["dir"] = tmp_path
     return paths
 
@@ -40,6 +42,14 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env():
+    """The environment for ``python -m cohkit.cli``: this checkout's
+    package first on the path."""
+    src = str(Path(ck.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # -- measure ------------------------------------------------------------------------
@@ -138,12 +148,10 @@ def test_deeply_nested_json_is_exit_1(files):
     deep = files["dir"] / "deep.json"
     deep.write_text('{"dim": 2, "amplitudes": ' + "[" * 100000
                     + "]" * 100000 + "}")
-    src = str(Path(ck.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "cohkit.cli", "measure",
                            "--state", str(deep), "--which", "cr"],
-                          env=env, capture_output=True, text=True)
+                          env=subprocess_env(), capture_output=True,
+                          text=True)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert str(deep) in proc.stderr
@@ -193,11 +201,9 @@ def test_entries_near_the_float_maximum_are_exit_2(capsys, files, matrix,
     assert code == 2
     assert out == ""
     assert json.loads(err)["invariant"] == invariant
-    src = str(Path(ck.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "cohkit.cli"]
-                          + argv, env=env, capture_output=True, text=True)
+                          + argv, env=subprocess_env(), capture_output=True,
+                          text=True)
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["invariant"] == invariant
 
@@ -430,6 +436,79 @@ def test_impossible_transform_is_exit_3(capsys, files):
     assert np.any(partial_p < partial_q - 1e-10)
 
 
+# -- output files and I/O failures --------------------------------------------
+
+TRACE_HEADER = "trial,n,rate,fidelity,seed"
+
+
+@pytest.mark.parametrize("argv,kind", [
+    pytest.param(["measure", "--state", "@rho", "--which", "cr"], "report",
+                 id="measure"),
+    pytest.param(["classify", "--channel", "@channel"], "report",
+                 id="classify"),
+    pytest.param(["reversibility", "--state", "@rho", "--restarts", "2"],
+                 "report", id="reversibility"),
+    pytest.param(["transform", "--source", "@phi2", "--target", "@target"],
+                 "channel", id="transform"),
+    pytest.param(["simulate", "concentrate", "--state", "@target", "--n",
+                  "100", "--trials", "3"], (TRACE_HEADER, 3),
+                 id="simulate-concentrate"),
+    pytest.param(["simulate", "dilute", "--state", "@target", "--n", "100"],
+                 (TRACE_HEADER, 1), id="simulate-dilute"),
+    pytest.param(["simulate", "form", "--state", "@rho", "--n", "50",
+                  "--trials", "2", "--delta", "0.2", "--delta2", "0.2",
+                  "--restarts", "2"], (TRACE_HEADER, 2), id="simulate-form"),
+    # C(8, 4) = 70 sequences in 7 subsets of 10, over 2 trials.
+    pytest.param(["simulate", "cover", "--state", "@ensemble", "--n", "8",
+                  "--subset-size", "10", "--trials", "2"],
+                 ("subset,n,deviation,seed", 14), id="simulate-cover"),
+])
+def test_out_file_holds_what_each_command_writes(capsys, files, argv, kind):
+    out_path = files["dir"] / "out"
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    code, out, _ = run(capsys, argv + ["--out", str(out_path)])
+    assert code == 0
+    if kind == "report":
+        assert out_path.read_text() == out
+    elif kind == "channel":
+        channel = ck.IncoherentChannel.from_dict(
+            json.loads(out_path.read_text()))
+        assert channel.to_dict() == json.loads(out)["channel"]
+    else:
+        header, rows = kind
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+
+
+@pytest.mark.parametrize("case", ["state-is-a-directory", "state-not-utf8",
+                                  "integer-past-digit-limit",
+                                  "out-in-missing-directory"])
+def test_unreadable_input_or_unwritable_out_is_exit_1(capsys, files, case):
+    # One error line, no report and no traceback, in-process and as a
+    # program run with warnings as errors.
+    latin1 = files["dir"] / "latin1.json"
+    latin1.write_bytes(b'{"dim": 2, "amplitudes": [1, 0], "note": "\xe9"}')
+    # json parses integers with int(), which refuses past 4300 digits.
+    digits = files["dir"] / "digits.json"
+    digits.write_text('{"dim": 2, "amplitudes": [' + "1" * 5000 + ", 0]}")
+    argv = ["measure", "--which", "cr", "--state"] + {
+        "state-is-a-directory": [str(files["dir"])],
+        "state-not-utf8": [str(latin1)],
+        "integer-past-digit-limit": [str(digits)],
+        "out-in-missing-directory": [
+            files["phi2"], "--out", str(files["dir"] / "absent" / "r.json")],
+    }[case]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot ")
+    assert len(err.splitlines()) == 1
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cohkit.cli"]
+                          + argv, env=subprocess_env(), capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
 # -- transform / classify round trip ------------------------------------------------------
 
 def test_transform_writes_loadable_channel(capsys, files):
@@ -593,25 +672,19 @@ def test_tolerance_flag_range(capsys, files):
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # Only the variational C_r oracle uses scipy.optimize, and it imports it
     # itself, so a CLI call that does not need it does not pay for it.
-    src = str(Path(ck.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, cohkit.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "False"
 
 
 def test_cli_import_loads_no_scipy():
     # scipy is imported on first use only (the variational C_r oracle and
     # the asymptotic log-factorials), so starting the CLI loads none of it.
-    src = str(Path(ck.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("import sys, cohkit.cli; print(sorted(name for name in "
              "sys.modules if name.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
 
@@ -624,6 +697,17 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
     assert "unit_measures" in out
     assert "(seed=3)" in out
+
+
+def test_failed_selftest_is_exit_4(capsys, monkeypatch):
+    checks = list(selftest.CHECKS)
+    checks[0] = ("unit_measures", lambda seed: (False, "injected failure"))
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    code = main(["selftest"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "FAIL unit_measures (seed=0) injected failure" in out
+    assert out.count("PASS ") == len(checks) - 1
 
 
 def test_selftest_flags_wrong_log_base(monkeypatch):
