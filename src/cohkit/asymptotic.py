@@ -312,10 +312,11 @@ def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
     Per-trial consumed rate is sum_j (f_j + delta1)(S(diag psi_j) + delta2)
     with f_j the empirical member frequencies; it converges to the ensemble
     average coherence + O(delta).  Per-trial fidelity is the product of the
-    exact per-group dilution fidelities.  With ``reconstruct`` (requires
-    dim**n within budget) the protocol's output state is assembled and its
-    fidelity with rho^(n) is reported along with the provable floor
-    (1 - eps1)(1 - eps2)^m.
+    exact per-group dilution fidelities.  With ``reconstruct`` the protocol's
+    output state is assembled and its fidelity with rho^(n) is reported
+    along with the provable floor (1 - eps1)(1 - eps2)^m; this requires
+    dim**n * (K + n) <= MAX_RECONSTRUCT_ENTRIES, K the number of
+    frequency-typical member sequences.
     """
     if ensemble is None:
         ensemble = coherence_of_formation(rho, restarts=restarts,

@@ -128,9 +128,12 @@ def _write(path: str, out) -> None:
         raise SystemExit(f"error: cannot write {path}: {exc}")
 
 
-def _load_state(path: str, tolerance: float | None):
+def _load_state(path: str, tolerance: float | None, ensemble: bool = False):
+    """A state file (an ensemble file with ``ensemble``) whose states are
+    validated at ``tolerance``."""
     kwargs = {} if tolerance is None else {"atol": tolerance}
-    return _load(path, lambda data: state_from_dict(data, **kwargs))
+    build = Ensemble.from_dict if ensemble else state_from_dict
+    return _load(path, lambda data: build(data, **kwargs))
 
 
 def _as_density(state):
@@ -211,8 +214,9 @@ def _cmd_simulate(args):
     report = {"command": "simulate", "protocol": args.protocol,
               "seed": seed, "rng": RNG_NAME, "n": args.n}
     if args.protocol == "cover":
-        cover = covering_check(_load(args.state, Ensemble.from_dict), args.n,
-                               args.subset_size, args.trials, seed=seed)
+        ensemble = _load_state(args.state, args.tolerance, ensemble=True)
+        cover = covering_check(ensemble, args.n, args.subset_size,
+                               args.trials, seed=seed)
         report.update(S=cover.S, M=cover.M,
                       median_deviation=float(np.median(cover.deviations)),
                       fraction_good={str(k): v for k, v
@@ -257,13 +261,17 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
                  "entropy eigenvalue floor 1e-12; support tolerance 1e-10"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def seed(p):
         # A string default goes through ``type``, so a bad COHKIT_SEED is a
         # usage error rather than a traceback while the parser is built.
         p.add_argument("--seed", type=int, default=default_seed)
-        p.add_argument("--tolerance", type=_tolerance, default=None,
-                       help="override state-validation tolerance "
-                            "(within [1e-14, 1e-3])")
+
+    def common(p, tolerance=True):
+        seed(p)
+        if tolerance:
+            p.add_argument("--tolerance", type=_tolerance, default=None,
+                           help="override state-validation tolerance "
+                                "(within [1e-14, 1e-3])")
         p.add_argument("--out", default=None, help="write report/trace here")
 
     p = sub.add_parser("measure", help="compute a coherence measure")
@@ -283,7 +291,7 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("classify", help="classify a channel's free class")
-    common(p)
+    common(p, tolerance=False)  # channel files carry no tolerance
     p.add_argument("--channel", required=True)
     p.add_argument("--partition", default=None)
     p.set_defaults(fn=_cmd_classify)
@@ -311,7 +319,7 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
-    common(p)
+    seed(p)
 
     return parser
 

@@ -9,6 +9,7 @@ incoherent too, i.e. when j is one-to-one on the support.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,12 +112,12 @@ class KrausOperator:
 
 
 class IncoherentChannel:
-    """A cptp map given by Kraus operators, with a free-class label.
+    """A cptp map given by Kraus operators, with its free class.
 
     Completeness sum K^dag K = 1 is enforced on construction.
     """
 
-    def __init__(self, kraus, class_label: str = UNCLASSIFIED, birkhoff=None):
+    def __init__(self, kraus, birkhoff=None):
         if not kraus:
             raise InvariantViolationError("channel", "no Kraus operators")
         ops = [k if isinstance(k, KrausOperator) else KrausOperator(k)
@@ -125,12 +126,16 @@ class IncoherentChannel:
         if len(shapes) > 1:
             raise DimensionMismatchError(f"mixed Kraus shapes {shapes}")
         self.kraus = ops
-        self.class_label = class_label
         self.birkhoff = birkhoff
         defect = self.completeness_defect()
         if defect > COMPLETENESS_ATOL:
             raise InvariantViolationError(
                 "completeness", f"max deviation {defect:.3e}")
+
+    @functools.cached_property
+    def class_label(self) -> str:
+        """The channel's free class, computed from its Kraus operators."""
+        return classify_channel(self)
 
     @property
     def dim_in(self) -> int:
@@ -180,8 +185,7 @@ class IncoherentChannel:
             birkhoff = [(_json_number(b["weight"]),
                          np.array([_json_int(i) for i in b["perm"]], dtype=int))
                         for b in data["birkhoff"]]
-        return cls(ops, class_label=data.get("class", UNCLASSIFIED),
-                   birkhoff=birkhoff)
+        return cls(ops, birkhoff=birkhoff)
 
 
 def apply_channel(ch: IncoherentChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -467,8 +471,7 @@ def synthesize_pure_transformation(source: PureState,
                            where=q_hat > 0)
         coeff = np.sqrt(weight) * np.exp(1j * (tgt_phase[perm] - src_phase))
         kraus.append(KrausOperator.from_certificate(perm, coeff, d))
-    return IncoherentChannel(kraus, class_label=STRICTLY_INCOHERENT,
-                             birkhoff=witness.birkhoff)
+    return IncoherentChannel(kraus, birkhoff=witness.birkhoff)
 
 
 def generate_from_maximally_coherent(target: DensityMatrix) -> IncoherentChannel:
@@ -485,9 +488,7 @@ def generate_from_maximally_coherent(target: DensityMatrix) -> IncoherentChannel
         branch = synthesize_pure_transformation(source,
                                                 PureState(vecs[:, idx]))
         kraus += [k.scaled(math.sqrt(w)) for k in branch.kraus]
-    channel = IncoherentChannel(kraus)
-    channel.class_label = classify_channel(channel)
-    return channel
+    return IncoherentChannel(kraus)
 
 
 def embed_maximally_correlated(rho: DensityMatrix) -> DensityMatrix:
@@ -513,12 +514,11 @@ def cnot_channel(d: int = 2) -> IncoherentChannel:
         for j in range(d):
             perm[i * d + j] = i * d + (i + j) % d
     return IncoherentChannel(
-        [KrausOperator.from_certificate(perm, np.ones(dim), dim)],
-        class_label=STRICTLY_INCOHERENT)
+        [KrausOperator.from_certificate(perm, np.ones(dim), dim)])
 
 
 def dephasing_channel(d: int) -> IncoherentChannel:
     """Kraus set {|i><i|}; implements the singleton pinching."""
     kraus = [KrausOperator.from_certificate(np.full(d, i), np.eye(d)[i], d)
              for i in range(d)]
-    return IncoherentChannel(kraus, class_label=STRICTLY_INCOHERENT)
+    return IncoherentChannel(kraus)

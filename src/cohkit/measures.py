@@ -152,9 +152,10 @@ class Ensemble:
                 "members": [m.to_dict() for m in self.members]}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Ensemble":
+    def from_dict(cls, data: dict, **kwargs) -> "Ensemble":
+        """``kwargs`` (such as ``atol``) go to each member's constructor."""
         return cls(np.array([_json_number(w) for w in data["weights"]]),
-                   [PureState.from_dict(m) for m in data["members"]])
+                   [PureState.from_dict(m, **kwargs) for m in data["members"]])
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Seeded random generators for states, partitions and incoherent channels.
 
-Everything runs off ``numpy.random.Generator`` (PCG64).  Functions take an
-explicit generator or integer seed so that tests and the selftest suite are
-bit-reproducible; per-trial generators are derived as ``rng_for(seed, k)``.
+Everything runs off ``numpy.random.Generator`` (PCG64).  Every ``random_*``
+function takes an explicit generator, so that tests and the selftest suite
+are bit-reproducible; generators are derived from a seed and counters as
+``rng_for(seed, k)``.
 """
 
 from __future__ import annotations
@@ -20,15 +21,8 @@ def rng_for(seed, *counters) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, counters)])
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def random_isometry(m: int, r: int, rng) -> np.ndarray:
     """Random m x r complex isometry (columns orthonormal), m >= r."""
-    rng = _as_rng(rng)
     g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
     q, rr = np.linalg.qr(g)
     phases = np.diag(rr).copy()
@@ -37,14 +31,12 @@ def random_isometry(m: int, r: int, rng) -> np.ndarray:
 
 
 def random_pure_state(d: int, rng) -> PureState:
-    rng = _as_rng(rng)
     a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(a / np.linalg.norm(a))
 
 
 def random_density_matrix(d: int, rng, rank: int | None = None) -> DensityMatrix:
     """Random mixed state: normalized G G^dag with G a d x rank Ginibre matrix."""
-    rng = _as_rng(rng)
     rank = d if rank is None else rank
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
@@ -52,14 +44,12 @@ def random_density_matrix(d: int, rng, rank: int | None = None) -> DensityMatrix
 
 
 def random_probability_vector(d: int, rng) -> np.ndarray:
-    rng = _as_rng(rng)
     p = rng.dirichlet(np.ones(d))
     return p / p.sum()
 
 
 def random_partition(d: int, rng, min_blocks: int = 2) -> list[list[int]]:
     """Random partition of {0..d-1} into at least ``min_blocks`` blocks."""
-    rng = _as_rng(rng)
     k = int(rng.integers(min_blocks, d + 1))
     idx = rng.permutation(d)
     cuts = np.sort(rng.choice(np.arange(1, d), size=k - 1, replace=False))
@@ -73,7 +63,6 @@ def random_block_state(d: int, rng, min_blocks: int = 2):
     Returns (state, blocks, weights, members); block amplitudes are bounded
     away from zero so block detection sees each block as one component.
     """
-    rng = _as_rng(rng)
     blocks = random_partition(d, rng, min_blocks=min_blocks)
     weights = random_probability_vector(len(blocks), rng)
     m = np.zeros((d, d), dtype=complex)
@@ -97,7 +86,6 @@ def random_strictly_incoherent_channel(d: int, n_kraus: int,
     Each operator is sum_i c_l(i) |pi_l(i)><i|; completeness holds because the
     coefficient columns are normalized across operators.
     """
-    rng = _as_rng(rng)
     coeff = rng.standard_normal((n_kraus, d)) + 1j * rng.standard_normal(
         (n_kraus, d))
     coeff /= np.linalg.norm(coeff, axis=0, keepdims=True)
@@ -113,7 +101,6 @@ def random_merge_channel(d: int, rng, rows: int | None = None) -> IncoherentChan
     The j maps are constant per operator, hence not one-to-one: the channel
     is incoherent but generically not strictly incoherent.
     """
-    rng = _as_rng(rng)
     rows = d if rows is None else rows
     v = random_isometry(rows, d, rng)
     kraus = []
@@ -127,7 +114,6 @@ def random_merge_channel(d: int, rng, rows: int | None = None) -> IncoherentChan
 def random_incoherent_channel(d: int, n_kraus: int, rng) -> IncoherentChannel:
     """Random incoherent channel with non-injective j maps: a mixture of a
     strictly incoherent channel and a merge channel."""
-    rng = _as_rng(rng)
     lam = float(rng.uniform(0.2, 0.8))
     strict = random_strictly_incoherent_channel(d, n_kraus, rng)
     merge = random_merge_channel(d, rng)
@@ -142,7 +128,6 @@ def random_majorizing_pair(d: int, rng):
     The source diagonal is a random mixture of permutations of the target
     diagonal, which guarantees the majorization precondition.
     """
-    rng = _as_rng(rng)
     p = random_probability_vector(d, rng)
     n_perm = int(rng.integers(2, d + 2))
     lam = random_probability_vector(n_perm, rng)

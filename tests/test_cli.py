@@ -669,6 +669,37 @@ def test_tolerance_flag_range(capsys, files):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["selftest", "--out", "@out"], id="selftest-out"),
+    pytest.param(["selftest", "--tolerance", "1e-8"], id="selftest-tolerance"),
+    pytest.param(["classify", "--channel", "@channel", "--tolerance", "1e-8"],
+                 id="classify-tolerance"),
+])
+def test_option_a_command_does_not_read_is_a_usage_error(capsys, files, argv):
+    files = dict(files, out=str(files["dir"] / "out"))
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+def test_cover_validates_members_at_tolerance(capsys, files):
+    # |a|^2 = 1 + 1e-10: outside the default norm tolerance, inside 1e-9.
+    a = math.sqrt(1 + 1e-10)
+    path = files["dir"] / "loose.json"
+    path.write_text(json.dumps({"weights": [0.5, 0.5], "members": [
+        {"dim": 2, "amplitudes": [a, 0]},
+        {"dim": 2, "amplitudes": [0, 1]}]}))
+    argv = ["simulate", "cover", "--state", str(path), "--n", "4",
+            "--subset-size", "2", "--trials", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["invariant"] == "unit_norm"
+    code, out, _ = run(capsys, argv + ["--tolerance", "1e-9"])
+    assert code == 0
+    assert json.loads(out)["S"] == 2
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # Only the variational C_r oracle uses scipy.optimize, and it imports it
     # itself, so a CLI call that does not need it does not pay for it.
@@ -708,6 +739,19 @@ def test_failed_selftest_is_exit_4(capsys, monkeypatch):
     assert code == 4
     assert "FAIL unit_measures (seed=0) injected failure" in out
     assert out.count("PASS ") == len(checks) - 1
+
+
+def test_selftest_fails_synthesis_on_a_short_witness(capsys, monkeypatch):
+    # Fault injection: a witness missing its last term no longer rebuilds
+    # diag(source); synthesis_soundness is the check that must catch it.
+    from cohkit import incoherent
+    original = incoherent._permutohedron_terms
+    monkeypatch.setattr(incoherent, "_permutohedron_terms",
+                        lambda p, q: original(p, q)[:-1])
+    code = main(["selftest"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "FAIL synthesis_soundness (seed=0)" in out
 
 
 def test_selftest_flags_wrong_log_base(monkeypatch):

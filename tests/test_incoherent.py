@@ -63,6 +63,18 @@ def test_channel_completeness_enforced():
     assert err.value.invariant == "completeness"
 
 
+def test_random_strict_channel_reports_its_class(rng):
+    ch = rand.random_strictly_incoherent_channel(3, 2, rng)
+    assert ch.class_label == STRICTLY_INCOHERENT
+    assert ch.to_dict()["class"] == STRICTLY_INCOHERENT
+
+
+def test_channel_file_class_is_computed_not_trusted():
+    data = ck.dephasing_channel(2).to_dict()
+    data["class"] = NON_COHERENCE_GENERATING
+    assert IncoherentChannel.from_dict(data).class_label == STRICTLY_INCOHERENT
+
+
 def test_channel_json_roundtrip(rng):
     ch = rand.random_strictly_incoherent_channel(3, 2, rng)
     again = IncoherentChannel.from_dict(ch.to_dict())
