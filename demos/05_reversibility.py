@@ -20,7 +20,7 @@ block_state = ck.DensityMatrix(0.5 * np.outer(v0, v0.conj())
 
 verdict = ck.is_reversible(block_state, restarts=16, seed=0)
 print("constructed block state:")
-print(f"  blocks   : {[b.indices for b in verdict.decomposition.blocks]}")
+print(f"  blocks   : {list(verdict.decomposition.partition.blocks)}")
 print(f"  reversible: {verdict.reversible}")
 print(f"  C_f - C_r : {verdict.gap_upper:.2e}  (zero up to optimizer slack)")
 

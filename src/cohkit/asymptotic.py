@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import InvariantViolationError, ResourceLimitError
 from .measures import Ensemble, coherence_of_formation, entropy_of_coherence, \
     relative_entropy_of_coherence
 from .qstate import DensityMatrix, PureState, shannon_entropy
@@ -455,6 +455,7 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
     a truncated eigendecomposition when G is singular), the deviation of a
     subset s is ||F_s^dagger F_s / S - F^dagger F / N||_1, a matrix with the
     nonzero eigenvalues of the subset average minus the class average.
+    A subset size S outside [1, N] violates the invariant ``subset_size``.
     """
     weights = np.asarray(ensemble.weights, dtype=float)
     m = weights.size
@@ -465,7 +466,8 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
         raise ResourceLimitError(
             f"type class size {big_n} exceeds Gram budget {MAX_GRAM}")
     if S < 1 or S > big_n:
-        raise ValueError(f"subset size {S} outside [1, {big_n}]")
+        raise InvariantViolationError(
+            "subset_size", f"subset size {S} outside [1, {big_n}]")
 
     vecs = np.stack([psi.amplitudes for psi in ensemble.members])
     overlap = vecs.conj() @ vecs.T            # <psi_a | psi_b>

@@ -247,6 +247,13 @@ def _cmd_simulate(args):
     return report, (header, rows)
 
 
+# The options of ``simulate`` beyond --state and --n: (type, default).
+SIMULATE_OPTIONS = {
+    "trials": (_positive_int, 100), "delta": (_nonnegative_float, 0.02),
+    "delta2": (_nonnegative_float, 0.01), "restarts": (_positive_int, 32),
+    "subset-size": (_positive_int, 16)}
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser(default_seed: str) -> argparse.ArgumentParser:
     """The parser, built once per COHKIT_SEED value: building it costs more
@@ -303,20 +310,20 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_positive_int, default=32)
     p.set_defaults(fn=_cmd_reversibility)
 
-    p = sub.add_parser("simulate", help="run a protocol simulation")
-    common(p)
-    p.add_argument("protocol",
-                   choices=["concentrate", "dilute", "form", "cover"])
-    p.add_argument("--state", required=True,
-                   help="state JSON (ensemble JSON for cover)")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--delta", type=_nonnegative_float, default=0.02)
-    p.add_argument("--delta2", type=_nonnegative_float, default=0.01)
-    p.add_argument("--subset-size", type=_positive_int, default=16,
-                   help="subset size S for the covering check")
-    p.add_argument("--restarts", type=_positive_int, default=32)
-    p.set_defaults(fn=_cmd_simulate)
+    protocols = sub.add_parser("simulate", help="run a protocol simulation"
+                               ).add_subparsers(dest="protocol", required=True)
+    for name, options in (("concentrate", "trials"), ("dilute", "delta"),
+                          ("form", "trials delta delta2 restarts"),
+                          ("cover", "trials subset-size")):
+        p = protocols.add_parser(name)
+        common(p)
+        p.add_argument("--state", required=True,
+                       help="state JSON (ensemble JSON for cover)")
+        p.add_argument("--n", type=_positive_int, required=True)
+        for option in options.split():
+            kind, default = SIMULATE_OPTIONS[option]
+            p.add_argument(f"--{option}", type=kind, default=default)
+        p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
     seed(p)

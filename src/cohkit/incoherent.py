@@ -185,7 +185,13 @@ class IncoherentChannel:
             birkhoff = [(_json_number(b["weight"]),
                          np.array([_json_int(i) for i in b["perm"]], dtype=int))
                         for b in data["birkhoff"]]
-        return cls(ops, birkhoff=birkhoff)
+        channel = cls(ops, birkhoff=birkhoff)
+        for key in ("dim_in", "dim_out"):
+            if key in data and _json_int(data[key]) != getattr(channel, key):
+                raise InvariantViolationError(
+                    "json_shape", f"declared {key} {data[key]}, Kraus "
+                    f"operators {channel.dim_out} x {channel.dim_in}")
+        return channel
 
 
 def apply_channel(ch: IncoherentChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -229,11 +235,8 @@ def _block_support(kraus: np.ndarray,
     """
     if partition is None:
         return np.abs(kraus) > INCOHERENT_ENTRY_TOL
-    indicator = np.zeros((partition.dim, len(partition.blocks)))
-    for b, block in enumerate(partition.blocks):
-        indicator[list(block), b] = 1.0
-    mass = np.sqrt(indicator.T @ np.abs(kraus) ** 2 @ indicator)
-    return mass > INCOHERENT_ENTRY_TOL
+    p = partition.indicator()
+    return np.sqrt(p.T @ np.abs(kraus) ** 2 @ p) > INCOHERENT_ENTRY_TOL
 
 
 def classify_channel(ch: IncoherentChannel,

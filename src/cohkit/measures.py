@@ -362,7 +362,10 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
     # then the earliest restart (min keeps the first of equal sizes).
     best_ens = min((_ensemble_from_isometry(u, factor) for f, u in results
                     if f <= values[0] + 1e-9), key=lambda ens: ens.size)
-    value = best_ens.average_coherence()
+    # C_r <= C_f: a dip below C_r within CERTIFY_TOL is rounding and reads
+    # as C_r; a larger one is a fault and is reported as computed.
+    avg = best_ens.average_coherence()
+    value = lower if lower - CERTIFY_TOL <= avg < lower else avg
     return ConvexRoofResult(value=value, ensemble=best_ens,
                             restarts=len(results), converged=converged,
                             lower_bound=lower, certified=certified)

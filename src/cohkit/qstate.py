@@ -213,13 +213,16 @@ class BasisPartition:
     """A partition of the basis indices {0, ..., d-1} into disjoint blocks.
 
     The all-singletons partition recovers the ordinary basis-diagonal theory;
-    coarser partitions give the block-decohering generalization.
+    coarser partitions give the block-decohering generalization.  Blocks are
+    ordered by smallest index; ``labels`` holds each index's block number.
     """
 
     def __init__(self, dim: int, blocks):
         blocks = [tuple(sorted(int(i) for i in b)) for b in blocks]
         seen = set()
         for b in blocks:
+            if not b:
+                raise InvariantViolationError("partition_empty", "empty block")
             for i in b:
                 if i < 0 or i >= dim:
                     raise InvariantViolationError(
@@ -233,12 +236,11 @@ class BasisPartition:
                 "partition_cover", f"{dim - len(seen)} indices uncovered")
         self.dim = dim
         self.blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-        mask = np.zeros((dim, dim), dtype=bool)
-        for b in self.blocks:
-            idx = np.array(b)
-            mask[np.ix_(idx, idx)] = True
-        mask.flags.writeable = False
-        self._mask = mask
+        labels = np.empty(dim, dtype=int)
+        for n, b in enumerate(self.blocks):
+            labels[list(b)] = n
+        labels.flags.writeable = False
+        self.labels = labels
 
     @classmethod
     def singleton(cls, dim: int) -> "BasisPartition":
@@ -246,7 +248,11 @@ class BasisPartition:
 
     def mask(self) -> np.ndarray:
         """Boolean d x d matrix marking same-block entry pairs."""
-        return self._mask
+        return self.labels[:, None] == self.labels[None, :]
+
+    def indicator(self) -> np.ndarray:
+        """d x blocks 0/1 matrix; column b marks the indices of block b."""
+        return np.eye(len(self.blocks))[self.labels]
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "blocks": [list(b) for b in self.blocks]}

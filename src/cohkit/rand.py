@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .incoherent import IncoherentChannel, KrausOperator
-from .qstate import DensityMatrix, PureState
+from .qstate import BasisPartition, DensityMatrix, PureState
 
 RNG_NAME = "pcg64"
 
@@ -48,26 +48,26 @@ def random_probability_vector(d: int, rng) -> np.ndarray:
     return p / p.sum()
 
 
-def random_partition(d: int, rng, min_blocks: int = 2) -> list[list[int]]:
+def random_partition(d: int, rng, min_blocks: int = 2) -> BasisPartition:
     """Random partition of {0..d-1} into at least ``min_blocks`` blocks."""
     k = int(rng.integers(min_blocks, d + 1))
     idx = rng.permutation(d)
     cuts = np.sort(rng.choice(np.arange(1, d), size=k - 1, replace=False))
-    return [sorted(int(i) for i in part)
-            for part in np.split(idx, cuts)]
+    return BasisPartition(d, np.split(idx, cuts))
 
 
 def random_block_state(d: int, rng, min_blocks: int = 2):
     """Direct sum of pure states on a random partition of the basis.
 
-    Returns (state, blocks, weights, members); block amplitudes are bounded
-    away from zero so block detection sees each block as one component.
+    Returns (state, partition, weights, members), the weights in the order
+    of ``partition.blocks``; block amplitudes are bounded away from zero so
+    block detection sees each block as one component.
     """
-    blocks = random_partition(d, rng, min_blocks=min_blocks)
-    weights = random_probability_vector(len(blocks), rng)
+    partition = random_partition(d, rng, min_blocks=min_blocks)
+    weights = random_probability_vector(len(partition.blocks), rng)
     m = np.zeros((d, d), dtype=complex)
     members = []
-    for w, block in zip(weights, blocks):
+    for w, block in zip(weights, partition.blocks):
         b = len(block)
         amp = rng.uniform(0.35, 1.0, size=b) * np.exp(
             2j * np.pi * rng.uniform(size=b))
@@ -76,7 +76,7 @@ def random_block_state(d: int, rng, min_blocks: int = 2):
         vec[np.array(block)] = amp
         members.append(PureState(vec))
         m += w * np.outer(vec, vec.conj())
-    return DensityMatrix(m), blocks, weights, members
+    return DensityMatrix(m), partition, weights, members
 
 
 def random_strictly_incoherent_channel(d: int, n_kraus: int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import coherence_of_formation, relative_entropy_of_coherence
-from .qstate import DensityMatrix
+from .qstate import BasisPartition, DensityMatrix
 
 BLOCK_THRESHOLD = 1e-10
 PURITY_DEFECT_TOL = 1e-8
@@ -21,30 +21,17 @@ OFFBLOCK_TOL = 1e-10
 
 
 @dataclass
-class Block:
-    """One connected block: its basis indices, weight and projected state."""
-    indices: tuple
-    weight: float
-    state: np.ndarray  # renormalized projection onto the block (len x len)
-
-
-@dataclass
 class BlockDecomposition:
-    blocks: list
+    """A basis partition, the weight (trace) of the state on each block, and
+    the largest |rho_ij| between two blocks."""
+    partition: BasisPartition
+    weights: list
     residual_offblock_mass: float
 
-    def reconstruction_defect(self, rho: DensityMatrix) -> float:
-        """Entrywise deviation of sum_j P_j rho P_j from rho."""
-        m = np.zeros_like(rho.matrix)
-        for b in self.blocks:
-            idx = np.array(b.indices)
-            m[np.ix_(idx, idx)] = rho.matrix[np.ix_(idx, idx)]
-        return float(np.max(np.abs(m - rho.matrix)))
-
     def to_dict(self) -> dict:
-        return {"blocks": [{"indices": list(b.indices),
-                            "weight": float(b.weight)}
-                           for b in self.blocks],
+        return {"blocks": [{"indices": list(b), "weight": float(w)}
+                           for b, w in zip(self.partition.blocks,
+                                           self.weights)],
                 "residual_offblock_mass": float(self.residual_offblock_mass)}
 
 
@@ -68,45 +55,36 @@ def detect_blocks(rho: DensityMatrix,
     """Connected components of the support graph |rho_ij| > threshold.
 
     This is the coarsest basis partition compatible with the state's
-    off-diagonal support; per-block states are the renormalized projections.
-    Components are found by min-label propagation: each index takes the
-    smallest label among its neighbours until nothing changes (at most d
-    sweeps), so a component is labelled by, and ordered by, its smallest
-    index.
+    off-diagonal support.  Components are found by min-label propagation:
+    each index takes the smallest label among its neighbours until nothing
+    changes (at most d sweeps), so a component is labelled by, and ordered
+    by, its smallest index.
     """
     d = rho.dim
     adj = np.abs(rho.matrix) > threshold  # symmetric: rho is Hermitian
     np.fill_diagonal(adj, True)
-    labels = np.arange(d)
-    while True:
-        new = np.where(adj, labels, d).min(axis=1)
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    roots, labels = np.unique(labels, return_inverse=True)
-    blocks = []
-    for c in range(roots.size):
-        idx = np.flatnonzero(labels == c)
-        sub = rho.matrix[np.ix_(idx, idx)]
-        weight = float(np.real(np.trace(sub)))
-        state = sub / weight if weight > 1e-14 else sub
-        blocks.append(Block(indices=tuple(int(i) for i in idx),
-                            weight=weight, state=state))
-    off = np.abs(rho.matrix).copy()
-    same = labels[:, None] == labels[None, :]
-    off[same] = 0.0
-    residual = float(off.max()) if d > 1 else 0.0
-    return BlockDecomposition(blocks=blocks, residual_offblock_mass=residual)
+    labels, new = None, np.arange(d)
+    while not np.array_equal(new, labels):
+        labels, new = new, np.where(adj, new, d).min(axis=1)
+    partition = BasisPartition(d, [np.flatnonzero(labels == root)
+                                   for root in np.unique(labels)])
+    weights = [float(np.real(np.trace(rho.matrix[np.ix_(b, b)])))
+               for b in partition.blocks]
+    residual = float(np.abs(rho.matrix)[~partition.mask()].max(initial=0.0))
+    return BlockDecomposition(partition, weights, residual)
 
 
-def block_purity_defects(decomposition: BlockDecomposition) -> list:
-    """1 - lambda_max / trace per block; 0 for (near-)weightless blocks."""
+def block_purity_defects(rho: DensityMatrix,
+                         decomposition: BlockDecomposition) -> list:
+    """1 - lambda_max / trace per block of rho; 0 for (near-)weightless
+    blocks."""
     defects = []
-    for b in decomposition.blocks:
-        if b.weight <= 1e-14 or len(b.indices) == 1:
+    for b, weight in zip(decomposition.partition.blocks,
+                         decomposition.weights):
+        if weight <= 1e-14 or len(b) == 1:
             defects.append(0.0)
             continue
-        eigs = np.linalg.eigvalsh(b.state)
+        eigs = np.linalg.eigvalsh(rho.matrix[np.ix_(b, b)] / weight)
         defects.append(float(max(0.0, 1.0 - eigs[-1])))
     return defects
 
@@ -121,7 +99,7 @@ def is_reversible(rho: DensityMatrix, *, threshold: float = BLOCK_THRESHOLD,
     the true gap, hence never used for the boolean.
     """
     decomposition = detect_blocks(rho, threshold)
-    defects = block_purity_defects(decomposition)
+    defects = block_purity_defects(rho, decomposition)
     reversible = (all(x <= PURITY_DEFECT_TOL for x in defects)
                   and decomposition.residual_offblock_mass <= OFFBLOCK_TOL)
     roof = coherence_of_formation(rho, restarts=restarts, seed=seed)

@@ -37,8 +37,7 @@ def check_dephase_idempotent(seed):
     for _ in range(10):
         d = int(rng.integers(2, 7))
         rho = rand.random_density_matrix(d, rng)
-        blocks = rand.random_partition(d, rng, min_blocks=1)
-        part = qstate.BasisPartition(d, blocks)
+        part = rand.random_partition(d, rng, min_blocks=1)
         once = qstate.dephase(rho, part)
         twice = qstate.dephase(once, part)
         worst = max(worst, float(np.max(np.abs(once.matrix - twice.matrix))))

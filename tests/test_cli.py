@@ -538,6 +538,16 @@ def test_classify_partition_dimension_mismatch_is_exit_2(capsys, files):
     assert json.loads(err)["error"] == "DimensionMismatchError"
 
 
+def test_partition_with_an_empty_block_is_exit_2(capsys, files):
+    part = files["dir"] / "empty_block.json"
+    save_json({"dim": 2, "blocks": [[0, 1], []]}, part)
+    code, out, err = run(capsys, ["classify", "--channel", files["channel"],
+                                  "--partition", str(part)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["invariant"] == "partition_empty"
+
+
 # -- simulate -------------------------------------------------------------------------------
 
 def test_simulate_concentrate_writes_csv(capsys, files):
@@ -674,6 +684,17 @@ def test_tolerance_flag_range(capsys, files):
     pytest.param(["selftest", "--tolerance", "1e-8"], id="selftest-tolerance"),
     pytest.param(["classify", "--channel", "@channel", "--tolerance", "1e-8"],
                  id="classify-tolerance"),
+    # Each simulate protocol takes only the options it reads.
+    *[pytest.param(["simulate", protocol, "--state", state, "--n", "4",
+                    option, "1"], id=f"{protocol}{option}")
+      for protocol, state, unread in [
+          ("concentrate", "@target",
+           ["--delta", "--delta2", "--subset-size", "--restarts"]),
+          ("dilute", "@target",
+           ["--trials", "--delta2", "--subset-size", "--restarts"]),
+          ("form", "@rho", ["--subset-size"]),
+          ("cover", "@ensemble", ["--delta", "--delta2", "--restarts"])]
+      for option in unread],
 ])
 def test_option_a_command_does_not_read_is_a_usage_error(capsys, files, argv):
     files = dict(files, out=str(files["dir"] / "out"))
@@ -681,6 +702,31 @@ def test_option_a_command_does_not_read_is_a_usage_error(capsys, files, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert "unrecognized arguments" in err
+
+
+def test_cover_subset_larger_than_type_class_is_exit_2(capsys, files):
+    # The class of n = 4 over weights (1/2, 1/2) has C(4, 2) = 6 sequences.
+    code, out, err = run(capsys, ["simulate", "cover", "--state",
+                                  files["ensemble"], "--n", "4",
+                                  "--subset-size", "100"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["invariant"] == "subset_size"
+
+
+@pytest.mark.parametrize("dims,code", [
+    pytest.param({"dim_in": 3, "dim_out": 5}, 2, id="mismatch"),
+    pytest.param({}, 0, id="absent"),
+])
+def test_channel_file_dimensions_match_kraus(capsys, files, dims, code):
+    path = files["dir"] / "dims.json"
+    path.write_text(json.dumps(dict(dims, kraus=[[[1, 0], [0, 1]]])))
+    got, out, err = run(capsys, ["classify", "--channel", str(path)])
+    assert got == code
+    if code:
+        assert out == ""
+        assert json.loads(err)["invariant"] == "json_shape"
+    else:
+        assert json.loads(out)["class"] == "strictly_incoherent"
 
 
 def test_cover_validates_members_at_tolerance(capsys, files):
@@ -752,6 +798,21 @@ def test_selftest_fails_synthesis_on_a_short_witness(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 4
     assert "FAIL synthesis_soundness (seed=0)" in out
+
+
+def test_selftest_fails_when_cf_falls_below_cr(capsys, monkeypatch):
+    # Fault injection: every roof ensemble averages 2e-6 below C_r of the
+    # state it rebuilds, beyond the check's 1e-6 slack and far beyond a
+    # rounding dip; cost_dominates_distillation must report it.
+    from cohkit import measures
+    monkeypatch.setattr(
+        measures.Ensemble, "average_coherence",
+        lambda ens: measures.relative_entropy_of_coherence(ens.reconstruct())
+        - 2e-6)
+    code = main(["selftest"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "FAIL cost_dominates_distillation (seed=0)" in out
 
 
 def test_selftest_flags_wrong_log_base(monkeypatch):

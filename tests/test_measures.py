@@ -204,6 +204,31 @@ def test_cf_certified_on_reversible_states(rng):
         assert res.to_dict()["lower_bound"] == cr
 
 
+def test_cf_value_never_below_lower_bound():
+    # On certified states the roof's average can round below C_r; the
+    # reported value is clipped there, so the bracket is never inverted.
+    for s in range(200):
+        rng = rand.rng_for(99, s)
+        d = int(rng.integers(3, 7))
+        rho = (rand.random_pure_state(d, rng).to_density() if s % 2
+               else rand.random_block_state(d, rng)[0])
+        res = ck.coherence_of_formation(rho, restarts=4, seed=s)
+        assert res.value >= res.lower_bound
+
+
+@pytest.mark.parametrize("dip, clipped", [(1e-14, True), (1e-6, False)])
+def test_cf_clips_only_a_rounding_dip(monkeypatch, dip, clipped):
+    # A dip below C_r within CERTIFY_TOL is rounding and reads as C_r; a
+    # larger one is a fault and must stay visible in ``value``.
+    rho = ck.PureState([0.6, 0.8]).to_density()
+    cr = ck.relative_entropy_of_coherence(rho)
+    monkeypatch.setattr(ck.Ensemble, "average_coherence",
+                        lambda ens: cr - dip)
+    res = ck.coherence_of_formation(rho, restarts=1, seed=0)
+    assert res.lower_bound == cr
+    assert res.value == (cr if clipped else cr - dip)
+
+
 def test_cf_generic_state_is_bracketed(rng):
     rho = rand.random_density_matrix(4, rng)
     res = ck.coherence_of_formation(rho, restarts=5, seed=2)

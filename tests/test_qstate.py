@@ -68,8 +68,22 @@ def test_partition_validation():
         ck.BasisPartition(4, [[0, 1], [1, 2, 3]])
     with pytest.raises(InvariantViolationError):
         ck.BasisPartition(4, [[0, 1]])
+    with pytest.raises(InvariantViolationError) as err:
+        ck.BasisPartition(2, [[0, 1], []])
+    assert err.value.invariant == "partition_empty"
     part = ck.BasisPartition(4, [[2, 3], [0, 1]])
     assert part.blocks == ((0, 1), (2, 3))
+
+
+def test_partition_labels_mask_and_indicator():
+    part = ck.BasisPartition(5, [[3, 4], [0, 2], [1]])
+    assert part.labels.tolist() == [0, 1, 0, 2, 2]
+    with pytest.raises(ValueError):
+        part.labels[0] = 1
+    ind = part.indicator()
+    assert ind.tolist() == [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1],
+                            [0, 0, 1]]
+    assert np.array_equal(part.mask(), ind @ ind.T == 1)
 
 
 def test_states_are_immutable():

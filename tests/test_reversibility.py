@@ -25,22 +25,23 @@ def test_diagonal_state_gives_singletons(rng):
     rho = ck.DensityMatrix.from_diagonal(
         rand.random_probability_vector(5, rng))
     dec = ck.detect_blocks(rho)
-    assert len(dec.blocks) == 5
-    assert all(len(b.indices) == 1 for b in dec.blocks)
+    assert len(dec.partition.blocks) == 5
+    assert all(len(b) == 1 for b in dec.partition.blocks)
     assert dec.residual_offblock_mass <= 1e-10
 
 
 def test_maximally_coherent_is_one_block():
     dec = ck.detect_blocks(ck.maximally_coherent(4).to_density())
-    assert len(dec.blocks) == 1
-    assert dec.blocks[0].indices == (0, 1, 2, 3)
+    assert len(dec.partition.blocks) == 1
+    assert dec.partition.blocks[0] == (0, 1, 2, 3)
 
 
 def test_constructed_two_block_state():
-    dec = ck.detect_blocks(two_block_state())
-    assert [b.indices for b in dec.blocks] == [(0, 1), (2, 3)]
-    assert np.isclose(dec.blocks[0].weight, 0.5, atol=1e-12)
-    assert dec.reconstruction_defect(two_block_state()) \
+    rho = two_block_state()
+    dec = ck.detect_blocks(rho)
+    assert list(dec.partition.blocks) == [(0, 1), (2, 3)]
+    assert np.isclose(dec.weights[0], 0.5, atol=1e-12)
+    assert np.max(np.abs(ck.dephase(rho, dec.partition).matrix - rho.matrix)) \
         <= dec.residual_offblock_mass + 1e-12
 
 
@@ -48,7 +49,7 @@ def test_threshold_monotone_refinement(rng):
     for _ in range(10):
         d = int(rng.integers(3, 7))
         rho = rand.random_density_matrix(d, rng)
-        counts = [len(ck.detect_blocks(rho, thr).blocks)
+        counts = [len(ck.detect_blocks(rho, thr).partition.blocks)
                   for thr in (1e-10, 1e-3, 1e-1)]
         for a, b in zip(counts, counts[1:]):
             assert b >= a  # raising the threshold never merges blocks
@@ -104,7 +105,33 @@ def test_detect_blocks_matches_bfs(rng):
         for threshold in (0.0, 1e-10, 1e-6, 1e-3):
             expected = bfs_blocks(rho.matrix.tolist(), threshold)
             dec = ck.detect_blocks(rho, threshold)
-            assert [b.indices for b in dec.blocks] == expected
+            assert list(dec.partition.blocks) == expected
+
+
+@pytest.mark.parametrize("counter,blocks,next_draw", [
+    (17, [(0, 5, 6), (1, 2, 3, 4)], 9),
+    (19, [(0, 3, 6), (1, 4, 5), (2,)], 798),
+    (22, [(0, 3, 5), (1, 2), (4, 6)], 691),
+    (32, [(0, 3, 4), (1,), (2, 5, 6)], 988),
+])
+def test_random_partition_draws_fixed_blocks(counter, blocks, next_draw):
+    # The blocks, and the draws left on the generator, at fixed seeds.
+    rng = rand.rng_for(7, counter)
+    part = rand.random_partition(7, rng, min_blocks=1)
+    assert isinstance(part, ck.BasisPartition)
+    assert list(part.blocks) == blocks
+    assert rng.integers(1000) == next_draw
+
+
+def test_detected_partition_feeds_dephase_and_classify():
+    rho = two_block_state()
+    part = ck.detect_blocks(rho).partition
+    assert np.array_equal(ck.dephase(rho, part).matrix, rho.matrix)
+    # A swap inside each block keeps every block; one across them does not.
+    within = ck.IncoherentChannel([np.eye(4)[[1, 0, 3, 2]]])
+    across = ck.IncoherentChannel([np.eye(4)[[0, 2, 1, 3]]])
+    assert ck.classify_channel(within, part) == "strictly_incoherent"
+    assert ck.classify_channel(across, part) == "unclassified"
 
 
 # -- verdicts --------------------------------------------------------------------
