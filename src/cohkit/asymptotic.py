@@ -37,6 +37,7 @@ MEMBERSHIP_TOL = 1e-12       # absorbs float dust at typicality boundaries
 TYPE_CHUNK = 1 << 15         # types expanded at once by _type_mass
 LETTER_FLOOR = 1e-12         # letters below this probability are dropped
 MAX_SAMPLING_ATTEMPTS = 10000  # rejection sampling of typical counts
+LN_FACTORIAL_TABLE = 4096    # ln k! is tabulated below this k
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class TypeMeasurementOutcome:
     """One outcome of the type measurement on n copies."""
     type_counts: np.ndarray
     probability: float
-    log_class_size: float     # log2 |T(P)|, exact via log-factorials
+    log_class_size: float     # log2 |T(P)|, from log-factorials
     achieved_rate: float      # log_class_size / n, bits per copy
 
 
@@ -75,20 +76,39 @@ class ProtocolTrace:
         return out
 
 
-def _gammaln(x):
-    """ln Gamma(x), elementwise."""
-    # Imported here, so that importing cohkit does not load scipy.special.
-    from scipy.special import gammaln
-    return gammaln(x)
+_LN_FACTORIALS = np.array([math.lgamma(k + 1.0)
+                           for k in range(LN_FACTORIAL_TABLE)])
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _ln_factorial(k):
+    """ln k! of nonnegative integers k (ints or integral floats),
+    elementwise.
+
+    Below LN_FACTORIAL_TABLE it is one gather from a table of math.lgamma.
+    Above, it is Stirling's series for ln Gamma(x), x = k + 1, through its
+    1/(360 x^3) term; the next term is below 1e-21 there, and the series is
+    within 4 ulp of math.lgamma (checked up to k = 2e7).
+    """
+    k = np.asarray(k)
+    if k.max(initial=0) < LN_FACTORIAL_TABLE:
+        return _LN_FACTORIALS[k.astype(np.intp, copy=False)]
+    x = k + 1.0
+    inv = 1.0 / x
+    out = (x - 0.5) * np.log(x) - x + _HALF_LN_2PI \
+        + inv * (1.0 / 12.0 - inv * inv / 360.0)
+    if k.min() < LN_FACTORIAL_TABLE:
+        small = k < LN_FACTORIAL_TABLE
+        out[small] = _LN_FACTORIALS[k[small].astype(np.intp)]
+    return out
 
 
 def log2_type_class_size(counts):
     """log2 of the multinomial coefficient n! / prod(counts!), taken along
     the last axis: a float for one type, an array for a stack of types."""
-    c = np.asarray(counts, dtype=float)
-    n = c.sum(axis=-1)
-    return (_gammaln(n + 1.0) - np.sum(_gammaln(c + 1.0), axis=-1)) \
-        / math.log(2.0)
+    c = np.asarray(counts)
+    return (_ln_factorial(c.sum(axis=-1))
+            - np.sum(_ln_factorial(c), axis=-1)) / math.log(2.0)
 
 
 def type_measurement(probs, n: int, rng) -> TypeMeasurementOutcome:
@@ -160,6 +180,7 @@ def _type_mass(ln_q, n: int, lo, hi, score=None, target: float = 0.0,
     score = np.zeros(d) if score is None else score
     c = np.arange(max(lo[0], n - hi_tail[0]), min(hi[0], n - lo_tail[0]) + 1)
     stack = [(0, c, n - c, c * score[0], np.zeros(c.size))]
+    ln_n_factorial = float(_ln_factorial(n))
     total = 0.0
     while stack:
         j, c, rem, part, lnm = stack.pop()
@@ -172,8 +193,8 @@ def _type_mass(ln_q, n: int, lo, hi, score=None, target: float = 0.0,
             keep = np.abs(s, out=s) <= tol
             c, rem = c[keep], rem[keep]
             total += float(np.exp(
-                _gammaln(n + 1.0) + lnm[keep] + c * ln_q[j] - _gammaln(c + 1.0)
-                + rem * ln_q[-1] - _gammaln(rem + 1.0)).sum())
+                ln_n_factorial + lnm[keep] + c * ln_q[j] - _ln_factorial(c)
+                + rem * ln_q[-1] - _ln_factorial(rem)).sum())
             continue
         first = np.maximum(lo[j + 1], rem - hi_tail[j + 1])
         size = np.maximum(
@@ -183,7 +204,7 @@ def _type_mass(ln_q, n: int, lo, hi, score=None, target: float = 0.0,
             for a, b in ((c.size // 2, c.size), (0, c.size // 2)):
                 stack.append((j, c[a:b], rem[a:b], part[a:b], lnm[a:b]))
             continue
-        lnm = np.repeat(lnm + c * ln_q[j] - _gammaln(c + 1.0), size)
+        lnm = np.repeat(lnm + c * ln_q[j] - _ln_factorial(c), size)
         c = np.repeat(first - ends + size, size)
         c += np.arange(c.size)
         rem = np.repeat(rem, size)
@@ -218,8 +239,9 @@ def typical_set_probability(probs, n: int, delta: float) -> float:
 
     A sequence is typical when its per-symbol surprisal -log2(q)/n lies
     within delta of H(Q).  Computed by summing the multinomial law over
-    integer types (exact log-factorials, no sequence enumeration and no
-    Stirling approximation).
+    integer types, with no sequence enumeration.  The log-factorials are
+    tabulated below LN_FACTORIAL_TABLE and taken from Stirling's series
+    above it, within 4 ulp of math.lgamma either way.
     """
     q = _kept_letters(probs)
     d = q.size
@@ -481,13 +503,17 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
     while step < n and m ** (step + 1) <= GRAM_ALPHABET:
         step += 1
     gram = np.ones((big_n, big_n), dtype=overlap.dtype)
+    work = np.empty_like(gram)
     for t in range(0, n, step):
         block = seqs[:, t:t + step]
         letters = block @ m ** np.arange(block.shape[1] - 1, -1, -1)
         table = overlap
         for _ in range(block.shape[1] - 1):
             table = np.kron(table, overlap)
-        gram *= np.take(table[letters], letters, axis=1)
+        # mode="clip" writes straight into ``work``; "raise" would buffer.
+        gram *= np.take(table[letters], letters, axis=1, out=work,
+                        mode="clip")
+    del work
     if gram.dtype.kind == "c" and float(np.max(np.abs(gram.imag))) < 1e-14:
         gram = gram.real  # real spans use the faster real solvers
     try:
@@ -495,11 +521,16 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
         basis = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         # A singular span: keep the eigenpairs above the rounding floor.
-        lam, qmat = np.linalg.eigh(gram)
+        lam, basis = np.linalg.eigh(gram)
         keep = lam > max(1e-12, 1e-12 * float(lam[-1]))
-        basis = qmat[:, keep] * np.sqrt(lam[keep])
+        basis = basis[:, keep]
+        basis *= np.sqrt(lam[keep])
+    # From here on the factor alone is used: with the class term and one
+    # difference buffer, three N x N arrays are held.
+    del gram
     class_term = basis.conj().T @ basis
     class_term /= big_n
+    diff = np.empty_like(class_term)  # reused by every subset
 
     n_subsets = big_n // S
     cap = n_subsets if max_subsets_per_trial is None else min(
@@ -510,7 +541,7 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
         perm = rng.permutation(big_n)
         for s_idx in range(cap):
             sub = basis[perm[s_idx * S:(s_idx + 1) * S]]
-            diff = sub.conj().T @ sub
+            np.matmul(sub.conj().T, sub, out=diff)
             diff /= S
             diff -= class_term
             eigs = np.linalg.eigvalsh(diff)

@@ -113,6 +113,11 @@ def _load(path: str, build):
             "json_schema", f"{type(exc).__name__}: {exc}")
 
 
+def _encoded(obj) -> str:
+    """``obj`` as JSON; a string is JSON already."""
+    return obj if isinstance(obj, str) else dumps_json(obj)
+
+
 def _write(path: str, out) -> None:
     """The one writer of ``--out``: a ``(header, rows)`` table as CSV,
     anything else as JSON."""
@@ -123,7 +128,7 @@ def _write(path: str, out) -> None:
                 writer.writerow(out[0])
                 writer.writerows(out[1])
             else:
-                fh.write(dumps_json(out) + "\n")
+                fh.write(_encoded(out) + "\n")
     except OSError as exc:
         raise SystemExit(f"error: cannot write {path}: {exc}")
 
@@ -147,7 +152,8 @@ def _pure(state, detail: str) -> PureState:
 
 
 # Each command maps ``args`` to ``(report, out)``: the report goes to
-# stdout, ``out`` is what ``--out`` writes.
+# stdout, ``out`` is what ``--out`` writes.  Either may be JSON text
+# already.
 
 def _cmd_measure(args):
     state = _load_state(args.state, args.tolerance)
@@ -175,14 +181,15 @@ def _cmd_transform(args):
     detail = "transform takes pure-state JSON files"
     channel = synthesize_pure_transformation(_pure(source, detail),
                                              _pure(target, detail))
-    channel_dict = channel.to_dict()
-    report = {"command": "transform", "seed": args.seed,
-              "kraus_count": len(channel.kraus),
-              "class": channel.class_label,
-              "completeness_defect": channel.completeness_defect(),
-              "channel": channel_dict}
-    # --out is the channel file itself, loadable by `classify`.
-    return report, channel_dict
+    # The channel is encoded once, for the report and for --out (the
+    # channel file itself, loadable by `classify`).  "channel" is the first
+    # of the report's sorted keys, so it goes in front of the rest.
+    channel_json = dumps_json(channel.to_dict())
+    rest = dumps_json({"command": "transform", "seed": args.seed,
+                       "kraus_count": len(channel.kraus),
+                       "class": channel.class_label,
+                       "completeness_defect": channel.completeness_defect()})
+    return f'{{"channel":{channel_json},{rest[1:]}', channel_json
 
 
 def _cmd_classify(args):
@@ -342,7 +349,7 @@ def main(argv=None) -> int:
         report, out = args.fn(args)
         if args.out:
             _write(args.out, out)
-        print(dumps_json(report))
+        print(_encoded(report))
         return 0
     except SystemExit as exc:
         if isinstance(exc.code, int):  # argparse: usage errors, --version

@@ -415,11 +415,6 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def save_json(obj: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(obj) + "\n")
-
-
 def state_from_dict(data: dict, **kwargs):
     """Dispatch a parsed state JSON object to the right constructor."""
     if "matrix" in data:

@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cohkit as ck
-from cohkit import rand
+from cohkit import asymptotic, rand
 from cohkit.errors import ResourceLimitError
 
 from conftest import h2, shannon
@@ -21,6 +22,27 @@ def test_log2_type_class_size_small_cases():
     assert np.isclose(ck.log2_type_class_size([5, 0]), 0.0, atol=1e-12)
     assert np.isclose(ck.log2_type_class_size([1, 1, 1]), math.log2(6),
                       atol=1e-12)
+    # A stack of types against exact multinomial coefficients.
+    stack = np.random.default_rng(4).integers(0, 16, size=(6, 5, 4))
+    exact = [[math.log2(math.factorial(int(c.sum()))
+                        // math.prod(math.factorial(int(x)) for x in c))
+              for c in row] for row in stack]
+    assert stack.sum(axis=-1).max() <= 60
+    assert np.allclose(ck.log2_type_class_size(stack), exact, rtol=0.0,
+                       atol=1e-12)
+
+
+def test_ln_factorial_within_4_ulp_of_lgamma():
+    # The table edge, and integers up to 2e7 taken from Stirling's series.
+    k = np.concatenate([np.arange(0, 20), np.arange(4094, 4099),
+                        np.random.default_rng(0).integers(4096, 2 * 10 ** 7,
+                                                          size=2000),
+                        [2 * 10 ** 7]])
+    exact = np.array([math.lgamma(x + 1.0) for x in k.tolist()])
+    got = asymptotic._ln_factorial(k)
+    assert np.all(np.abs(got - exact) <= 4 * np.spacing(exact))
+    assert asymptotic._ln_factorial(4097) == got[k == 4097][0]
+    assert asymptotic._ln_factorial(np.array([], dtype=int)).size == 0
 
 
 def test_type_measurement_outcome_invariants(rng):
@@ -486,6 +508,21 @@ def test_covering_matches_explicit_product_states(amplitudes, n, S, singular,
     explicit = _explicit_deviations(ens, n, S, trials=2, seed=3)
     assert len(rep.deviations) == len(explicit)
     assert np.allclose(rep.deviations, explicit, rtol=0.0, atol=1e-10)
+
+
+def test_covering_holds_about_three_class_sized_arrays():
+    # The Gram matrix is dropped once factored, and every subset's
+    # difference reuses one buffer: at N = C(12, 6) = 924 the traced peak
+    # stays below 3.5 N x N doubles.
+    ens, big_n = cover_ensemble(), math.comb(12, 6)
+    tracemalloc.start()
+    try:
+        ck.covering_check(ens, 12, 8, trials=1, seed=0,
+                          max_subsets_per_trial=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * big_n * big_n * 8
 
 
 def test_covering_budget():

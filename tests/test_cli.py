@@ -10,10 +10,16 @@ import pytest
 
 import cohkit as ck
 from cohkit.cli import main
-from cohkit.qstate import save_json
-from cohkit import selftest
+from cohkit.qstate import dumps_json
+from cohkit import rand, selftest
 
 from conftest import h2
+
+
+def save_json(obj: dict, path) -> None:
+    """Write ``obj`` as a CLI input file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_json(obj) + "\n")
 
 
 @pytest.fixture
@@ -525,6 +531,25 @@ def test_transform_writes_loadable_channel(capsys, files):
     assert json.loads(out2)["class"] == "strictly_incoherent"
 
 
+def test_transform_report_and_channel_file_are_canonical_json(capsys,
+                                                              tmp_path):
+    # The channel is encoded once and spliced into the report; both must
+    # still be the compact, key-sorted encoding of their content.
+    source, target = rand.random_majorizing_pair(12, np.random.default_rng(3))
+    save_json(source.to_dict(), tmp_path / "source.json")
+    save_json(target.to_dict(), tmp_path / "target.json")
+    out_path = tmp_path / "channel.json"
+    code, out, _ = run(capsys, ["transform", "--source",
+                                str(tmp_path / "source.json"), "--target",
+                                str(tmp_path / "target.json"), "--out",
+                                str(out_path)])
+    assert code == 0
+    report = json.loads(out)
+    assert out == dumps_json(report) + "\n"
+    assert out_path.read_text() == dumps_json(report["channel"]) + "\n"
+    assert report["kraus_count"] == len(report["channel"]["kraus"]) > 1
+
+
 def test_classify_partition_dimension_mismatch_is_exit_2(capsys, files):
     rect = files["dir"] / "rect.json"
     save_json(ck.IncoherentChannel([np.array([[1.0, 0.0]]),
@@ -756,13 +781,32 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported on first use only (the variational C_r oracle and
-    # the asymptotic log-factorials), so starting the CLI loads none of it.
+    # scipy is imported on first use by the variational C_r oracle alone,
+    # so starting the CLI loads none of it.
     probe = ("import sys, cohkit.cli; print(sorted(name for name in "
              "sys.modules if name.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_simulate_loads_no_scipy(files):
+    # The asymptotic layer's log-factorials are numpy alone, so no
+    # protocol simulation loads any of scipy.
+    argvs = [["simulate", "concentrate", "--state", files["target"],
+              "--n", "50", "--trials", "3"],
+             ["simulate", "dilute", "--state", files["target"], "--n", "40"],
+             ["simulate", "form", "--state", files["rho"], "--n", "20",
+              "--trials", "3", "--restarts", "2"],
+             ["simulate", "cover", "--state", files["ensemble"], "--n", "6",
+              "--subset-size", "4", "--trials", "1"]]
+    probe = ("import sys\nfrom cohkit.cli import main\n"
+             f"codes = [main(argv) for argv in {argvs!r}]\n"
+             "print(codes, sorted(name for name in sys.modules "
+             "if name.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 # -- selftest ----------------------------------------------------------------------------------
