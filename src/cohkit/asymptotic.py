@@ -179,7 +179,8 @@ def _type_mass(ln_q, n: int, lo, hi, score=None, target: float = 0.0,
     hi_tail = [sum(hi[j + 1:]) for j in range(d)]
     score = np.zeros(d) if score is None else score
     c = np.arange(max(lo[0], n - hi_tail[0]), min(hi[0], n - lo_tail[0]) + 1)
-    stack = [(0, c, n - c, c * score[0], np.zeros(c.size))]
+    # No letter precedes the first, so its log-mass is a zero-stride view.
+    stack = [(0, c, n - c, c * score[0], np.broadcast_to(0.0, c.size))]
     ln_n_factorial = float(_ln_factorial(n))
     total = 0.0
     while stack:
@@ -235,13 +236,16 @@ def _window_rows(m: int, n: int, lo, hi):
 
 
 def typical_set_probability(probs, n: int, delta: float) -> float:
-    """Exact probability of the entropy-typical set of n-letter sequences.
+    """Probability of the entropy-typical set of n-letter sequences.
 
     A sequence is typical when its per-symbol surprisal -log2(q)/n lies
     within delta of H(Q).  Computed by summing the multinomial law over
     integer types, with no sequence enumeration.  The log-factorials are
     tabulated below LN_FACTORIAL_TABLE and taken from Stirling's series
-    above it, within 4 ulp of math.lgamma either way.
+    above it, within 4 ulp of math.lgamma either way.  Each term's exponent
+    is formed at the magnitude of ln n!, so for n in the thousands the sum
+    carries about 1e-12 relative rounding (1.2e-12 at d = 3, n = 5000
+    against a 40-digit sum of the same terms).
     """
     q = _kept_letters(probs)
     d = q.size
@@ -274,7 +278,8 @@ def simulate_dilution(psi: PureState, n: int, delta: float,
     n (H + delta) unit coherence bits.
 
     The preparation succeeds deterministically; the output fidelity with the
-    exact n-copy state is sqrt(Pr(typical set)), evaluated exactly.
+    exact n-copy state is sqrt(Pr(typical set)), from the type sum of
+    :func:`typical_set_probability`.
     """
     probs = psi.probabilities()
     h = shannon_entropy(probs)
@@ -299,7 +304,9 @@ def _freq_typical_log_prob_box(weights, n: int, delta: float):
 
 
 def frequency_typical_probability(weights, n: int, delta: float) -> float:
-    """Exact multinomial mass of {counts : |counts_j/n - w_j| <= delta}."""
+    """Multinomial mass of {counts : |counts_j/n - w_j| <= delta}, summed
+    over types like :func:`typical_set_probability`, with the same rounding
+    (about 1e-12 relative for n in the thousands)."""
     w = np.asarray(weights, dtype=float)
     m = w.size
     if m == 1:

@@ -771,23 +771,21 @@ def test_cover_validates_members_at_tolerance(capsys, files):
     assert json.loads(out)["S"] == 2
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # Only the variational C_r oracle uses scipy.optimize, and it imports it
-    # itself, so a CLI call that does not need it does not pay for it.
-    probe = "import sys, cohkit.cli; print('scipy.optimize' in sys.modules)"
+def test_cli_import_loads_no_scipy(files):
+    # The variational C_r oracle is numpy alone, so neither starting the CLI
+    # nor a call that runs the oracle loads any of scipy.
+    argvs = [["measure", "--state", files["rho"], "--which", "cr",
+              "--variational"],
+             ["selftest", "--seed", "0"]]
+    probe = ("import sys\nfrom cohkit.cli import main\n"
+             "scipy = lambda: sorted(name for name in sys.modules "
+             "if name.split('.')[0] == 'scipy')\n"
+             "loaded = scipy()\n"
+             f"codes = [main(argv) for argv in {argvs!r}]\n"
+             "print(loaded, codes, scipy())")
     out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                          check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "False"
-
-
-def test_cli_import_loads_no_scipy():
-    # scipy is imported on first use by the variational C_r oracle alone,
-    # so starting the CLI loads none of it.
-    probe = ("import sys, cohkit.cli; print(sorted(name for name in "
-             "sys.modules if name.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
-                         check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[] [0, 0] []"
 
 
 def test_simulate_loads_no_scipy(files):
