@@ -771,6 +771,15 @@ def test_cover_validates_members_at_tolerance(capsys, files):
     assert json.loads(out)["S"] == 2
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # The variational C_r oracle, once the only user of scipy.optimize, now
+    # runs on numpy alone, so starting the CLI does not load the optimizer.
+    probe = "import sys, cohkit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_cli_import_loads_no_scipy(files):
     # The variational C_r oracle is numpy alone, so neither starting the CLI
     # nor a call that runs the oracle loads any of scipy.
