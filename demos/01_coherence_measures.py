@@ -21,8 +21,10 @@ print(f"C_r  (simplex optimization)     = {variational:.6f}  "
       f"(cross-check, gap {abs(variational - c_r):.2e})")
 
 roof = ck.coherence_of_formation(rho, restarts=16, seed=0)
-print(f"C_f  (preparation cost, upper)  = {roof.value:.6f} bits/copy  "
-      f"(converged: {roof.converged}, certified: {roof.certified})")
+print(f"C_f  (preparation cost)         in [{roof.lower_bound:.6f}, "
+      f"{roof.value:.6f}] bits/copy")
+print(f"     lower side by {roof.lower_by}, certified: {roof.certified} "
+      f"after {roof.restarts} restart(s)")
 print(f"C_f  (qubit closed form)        = "
       f"{ck.coherence_of_formation_qubit(rho):.6f}")
 

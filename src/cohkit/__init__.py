@@ -35,6 +35,7 @@ from .measures import (
     Ensemble,
     RateBounds,
     cf_continuity_bound,
+    cf_lower_bound,
     coherence_of_formation,
     coherence_of_formation_qubit,
     conversion_rate_bounds,

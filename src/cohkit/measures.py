@@ -3,8 +3,9 @@
 continuity bounds and mixed-state conversion-rate bounds.
 
 The coherence of formation is a convex-roof minimization; the optimizer below
-reports an upper bound together with C_r, the lower side of the bracket, and
-claims an exact value only when it reaches that lower bound.
+reports an upper bound together with the lower side of the bracket, the larger
+of C_r and a closed-form bound, and claims an exact value only when it reaches
+that lower side.
 """
 
 from __future__ import annotations
@@ -189,20 +190,23 @@ class Ensemble:
 @dataclass
 class ConvexRoofResult:
     """Best ensemble found by the roof optimizer; ``value`` is an upper bound
-    and ``lower_bound`` (C_r) the other side of the bracket.  ``certified``
-    means a restart reached the lower bound, so ``value`` is the optimum."""
+    and ``lower_bound`` the other side of the bracket, labelled by
+    ``lower_by``: ``"cr"`` (C_r) or ``"l1_bound"`` (:func:`cf_lower_bound`).
+    ``certified`` means a restart reached the lower bound, so ``value`` is
+    the optimum."""
     value: float
     ensemble: Ensemble
     restarts: int
     converged: bool
     lower_bound: float
+    lower_by: str
     certified: bool
 
     def to_dict(self) -> dict:
         return {"value": self.value, "ensemble": self.ensemble.to_dict(),
                 "restarts": self.restarts, "converged": self.converged,
                 "bound_kind": "upper", "lower_bound": self.lower_bound,
-                "certified": self.certified}
+                "lower_by": self.lower_by, "certified": self.certified}
 
 
 def _roof_value_grad(u: np.ndarray, factor: np.ndarray):
@@ -347,9 +351,33 @@ def _ensemble_from_isometry(u: np.ndarray, factor: np.ndarray) -> Ensemble:
     return Ensemble(kept / kept.sum(), members)
 
 
+def cf_lower_bound(rho: DensityMatrix) -> float:
+    """Closed-form lower bound B(rho) <= C_f(rho) in bits, exact on every
+    qubit and on every isotropic state p Phi_d + (1 - p) I / d.
+
+    C_f(rho) is the entanglement of formation of the maximally correlated
+    state sum_ij rho_ij |ii><jj|, whose partial transpose has trace norm
+    L = 1 + C_l1(rho).  The Chen-Albeverio-Fei bound (PRL 95, 040504
+    (2005)), convexified as by Terhal and Vollbrecht (PRL 85, 2625 (2000)),
+    is B = co R(min(d, L)) with R(L) = h(g) + (1 - g) log2(d - 1) and
+    g = (sqrt(L) + sqrt((d - 1)(d - L)))^2 / d^2.  co R is R up to
+    L = 4(d - 1)/d and above it the line
+    (log2(d - 1)/(d - 2)) (L - d) + log2 d.
+    """
+    d = rho.dim
+    m = np.abs(rho.matrix)
+    lam = min(float(d), 1.0 + max(0.0, float(m.sum() - np.trace(m))))
+    if lam <= 1.0:
+        return 0.0
+    if d > 2 and lam > 4.0 * (d - 1) / d:
+        return math.log2(d - 1) / (d - 2) * (lam - d) + math.log2(d)
+    g = min(1.0, (math.sqrt(lam) + math.sqrt((d - 1) * (d - lam))) ** 2 / d**2)
+    return binary_entropy(g) + (1.0 - g) * math.log2(d - 1)
+
+
 def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
                            seed: int = 0) -> ConvexRoofResult:
-    """Convex-roof upper bound on the coherence of formation.
+    """Convex-roof bracket [max(C_r, B), value] on the coherence of formation.
 
     Ensembles of rho are parameterized by m x r isometries mixing the
     spectral square root (every decomposition arises this way).  m cycles
@@ -358,12 +386,15 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
     ``random_isometry(m, r, rng_for(seed, k))`` and runs Riemannian
     L-BFGS, preconditioned by the spectrum of rho (polar retraction, Armijo
     backtracking from t = 1), until the squared gradient norm falls below
-    1e-14, progress stalls, or the value comes within 1e-12 of C_r.  Since C_r <= C_f, that last stop certifies
-    the optimum: ``certified`` is set and the remaining restarts are
-    skipped, so ``restarts`` counts the restarts run.  ``converged`` is set
-    when the optimum is certified or the two best restarts agree within
-    1e-6.  Otherwise the value is an upper bound and C_r (``lower_bound``)
-    the other side of the bracket.
+    1e-14, progress stalls, or the value comes within 1e-12 of the lower
+    side of the bracket.  That side is C_r, or B = :func:`cf_lower_bound`
+    where B exceeds C_r by more than 1e-12 (``lower_by`` says which); B is
+    exact on qubits and isotropic states.  Since it is below C_f, reaching
+    it certifies the optimum: ``certified`` is set and the remaining
+    restarts are skipped, so ``restarts`` counts the restarts run.
+    ``converged`` is set when the optimum is certified or the two best
+    restarts agree within 1e-6.  Otherwise the value is an upper bound and
+    ``lower_bound`` the other side of the bracket.
     """
     restarts = int(restarts)
     if restarts < 1:
@@ -371,7 +402,10 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
     factor = rho.factor()
     r = factor.shape[1]
     sizes = sorted({r, min(2 * r, r * r), r * r})
-    lower = relative_entropy_of_coherence(rho)
+    lower, lower_by = relative_entropy_of_coherence(rho), "cr"
+    bound = cf_lower_bound(rho)
+    if bound > lower + CERTIFY_TOL:
+        lower, lower_by = bound, "l1_bound"
     target = lower + CERTIFY_TOL
 
     results = []
@@ -390,27 +424,23 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
     # then the earliest restart (min keeps the first of equal sizes).
     best_ens = min((_ensemble_from_isometry(u, factor) for f, u in results
                     if f <= values[0] + 1e-9), key=lambda ens: ens.size)
-    # C_r <= C_f: a dip below C_r within CERTIFY_TOL is rounding and reads
-    # as C_r; a larger one is a fault and is reported as computed.
+    # lower <= C_f: a dip below it within CERTIFY_TOL is rounding and reads
+    # as lower; a larger one is a fault and is reported as computed.
     avg = best_ens.average_coherence()
     value = lower if lower - CERTIFY_TOL <= avg < lower else avg
     return ConvexRoofResult(value=value, ensemble=best_ens,
                             restarts=len(results), converged=converged,
-                            lower_bound=lower, certified=certified)
+                            lower_bound=lower, lower_by=lower_by,
+                            certified=certified)
 
 
 def coherence_of_formation_qubit(rho: DensityMatrix) -> float:
-    """Closed-form qubit coherence of formation (oracle, not the main path).
-
-    Equals the entanglement of formation of the associated maximally
-    correlated two-qubit state, evaluated through the concurrence formula;
-    the concurrence of that state is 2|rho_01|.
-    """
+    """Closed-form qubit coherence of formation: the d = 2 case of
+    :func:`cf_lower_bound`, where the bound is exact (it is then the
+    concurrence formula, with concurrence 2|rho_01|)."""
     if rho.dim != 2:
         raise DimensionMismatchError("closed form only available for qubits")
-    c = 2.0 * abs(rho.matrix[0, 1])
-    x = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
-    return binary_entropy(x)
+    return cf_lower_bound(rho)
 
 
 def cr_continuity_bound(d: int, eps: float) -> float:
@@ -446,23 +476,16 @@ def conversion_rate_bounds(rho: DensityMatrix, sigma: DensityMatrix, *,
     C_f(rho)/C_f(sigma)) on the mixed-state conversion rate.
 
     C_f values come from the roof optimizer (upper bounds), which keeps the
-    reported lower bound valid.  The upper bound divides by a lower bound on
-    C_f(sigma): the roof value when it is certified, the closed form for a
-    qubit, and C_r(sigma) otherwise.  Raises if sigma is incoherent.
+    reported lower bound valid.  The upper bound divides by the lower side
+    of the roof's bracket on C_f(sigma).  Raises if sigma is incoherent.
     """
-    cf_sigma = coherence_of_formation(sigma, restarts=restarts, seed=seed)
-    cr_sigma = cf_sigma.lower_bound
+    cr_sigma = relative_entropy_of_coherence(sigma)
     if cr_sigma <= COHERENT_TOL:
         raise UndefinedRateError(
             "target state is incoherent; conversion rate diverges")
+    cr_rho = relative_entropy_of_coherence(rho)
+    cf_sigma = coherence_of_formation(sigma, restarts=restarts, seed=seed)
     cf_rho = coherence_of_formation(rho, restarts=restarts, seed=seed)
-    cr_rho = cf_rho.lower_bound
-    if sigma.dim == 2:
-        cf_sigma_low = coherence_of_formation_qubit(sigma)
-    elif cf_sigma.certified:
-        cf_sigma_low = cf_sigma.value
-    else:
-        cf_sigma_low = cr_sigma
     lower = cr_rho / cf_sigma.value
-    upper = min(cr_rho / cr_sigma, cf_rho.value / cf_sigma_low)
+    upper = min(cr_rho / cr_sigma, cf_rho.value / cf_sigma.lower_bound)
     return RateBounds(lower=lower, upper=upper)

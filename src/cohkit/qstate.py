@@ -28,7 +28,9 @@ HERMITIAN_ATOL = 1e-10
 PSD_FLOOR = -1e-9
 PURE_NORM_ATOL = 1e-12
 
-# Numerical conventions for entropic quantities.
+# Numerical conventions for entropic quantities.  The floor applies to
+# eigenvalue spectra only: an eigensolver returns its rounding as tiny
+# eigenvalues, while a probability vector's small entries are real weight.
 ENTROPY_EIG_FLOOR = 1e-12
 SUPPORT_TOL = 1e-10
 
@@ -288,9 +290,9 @@ def dephase(rho: DensityMatrix, partition: BasisPartition | None = None) -> Dens
 
 
 def shannon_entropy(probs) -> float:
-    """Base-2 Shannon entropy; weights below the eigenvalue floor contribute 0."""
+    """Base-2 Shannon entropy; every positive weight counts."""
     p = np.asarray(probs, dtype=float)
-    p = p[p >= ENTROPY_EIG_FLOOR]
+    p = p[p > 0.0]
     if p.size == 0:
         return 0.0
     return float(max(0.0, -np.sum(p * np.log2(p))))
@@ -304,9 +306,10 @@ def binary_entropy(x: float) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -tr rho log2 rho, in bits."""
+    """S(rho) = -tr rho log2 rho, in bits; eigenvalues below the floor are
+    rounding dust and contribute 0."""
     vals, _ = rho.eigh()
-    return shannon_entropy(vals)
+    return shannon_entropy(vals[vals >= ENTROPY_EIG_FLOOR])
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -39,12 +39,14 @@ class BlockDecomposition:
 class ReversibilityVerdict:
     reversible: bool
     decomposition: BlockDecomposition
+    gap_lower: float                      # C_f lower bound minus C_r, bits
     gap_upper: float                      # C_f upper bound minus C_r, bits
     block_purity_defects: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {"reversible": self.reversible,
                 "decomposition": self.decomposition.to_dict(),
+                "gap_lower": float(self.gap_lower),
                 "gap_upper": float(self.gap_upper),
                 "block_purity_defects": [float(x)
                                          for x in self.block_purity_defects]}
@@ -94,18 +96,22 @@ def is_reversible(rho: DensityMatrix, *, threshold: float = BLOCK_THRESHOLD,
     """Full verdict: block structure decides, the measure gap corroborates.
 
     The state is reversible iff every detected block is pure (defect at most
-    1e-8) and no off-block mass above 1e-10 remains.  ``gap_upper`` is the
-    roof-optimizer upper bound on C_f minus C_r; it is only an upper bound on
-    the true gap, hence never used for the boolean.
+    1e-8) and no off-block mass above 1e-10 remains.  ``gap_lower`` and
+    ``gap_upper`` are the two sides of the roof's C_f bracket minus C_r:
+    ``gap_lower`` > 0 proves the state irreversible (it is 0 when the lower
+    side is C_r itself), while ``gap_upper`` is only an upper bound on the
+    true gap.  Neither is used for the boolean.
     """
     decomposition = detect_blocks(rho, threshold)
     defects = block_purity_defects(rho, decomposition)
     reversible = (all(x <= PURITY_DEFECT_TOL for x in defects)
                   and decomposition.residual_offblock_mass <= OFFBLOCK_TOL)
+    cr = relative_entropy_of_coherence(rho)
     roof = coherence_of_formation(rho, restarts=restarts, seed=seed)
     return ReversibilityVerdict(reversible=reversible,
                                 decomposition=decomposition,
-                                gap_upper=roof.value - roof.lower_bound,
+                                gap_lower=roof.lower_bound - cr,
+                                gap_upper=roof.value - cr,
                                 block_purity_defects=defects)
 
 

@@ -98,16 +98,20 @@ def test_measure_cf_reports_bracket(capsys, files):
     assert report["certified"] and report["converged"]
     assert report["restarts"] == 1
     assert np.isclose(report["lower_bound"], 1.0, atol=1e-12)
+    assert report["lower_by"] == "cr"
     assert abs(report["value"] - report["lower_bound"]) <= 1e-12
-    # The mixed qubit has C_r < C_f, so nothing certifies it.
+    # The mixed qubit has C_r < C_f; the closed-form bound is exact on
+    # qubits, so the first restart certifies against it.
     code, out, _ = run(capsys, ["measure", "--state", files["rho"],
                                 "--which", "cf", "--restarts", "4"])
     report = json.loads(out)
     rho = ck.DensityMatrix([[0.5, 0.3], [0.3, 0.5]])
-    assert report["lower_bound"] == ck.relative_entropy_of_coherence(rho)
-    assert report["value"] > report["lower_bound"]
-    assert not report["certified"]
-    assert report["restarts"] == 4
+    assert report["lower_bound"] == ck.cf_lower_bound(rho)
+    assert report["lower_bound"] > ck.relative_entropy_of_coherence(rho)
+    assert report["lower_by"] == "l1_bound"
+    assert 0.0 <= report["value"] - report["lower_bound"] <= 1e-12
+    assert report["certified"]
+    assert report["restarts"] == 1
 
 
 def compact(text: str) -> str:

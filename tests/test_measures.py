@@ -265,8 +265,96 @@ def test_cf_generic_state_is_bracketed(rng):
     res = ck.coherence_of_formation(rho, restarts=5, seed=2)
     assert not res.certified
     assert res.restarts == 5
-    assert res.lower_bound == ck.relative_entropy_of_coherence(rho)
+    # The closed-form bound beats C_r here, so it is the lower side.
+    assert res.lower_bound == ck.cf_lower_bound(rho)
+    assert res.lower_bound > ck.relative_entropy_of_coherence(rho) + 1e-12
+    assert res.lower_by == "l1_bound"
     assert res.value > res.lower_bound + 1e-6
+
+
+def test_cf_lower_bound_between_cr_and_roof():
+    # C_r <= max(C_r, B) <= C_f on 504 states, d = 2..8, full rank and rank
+    # 2; a single restart's value is already an upper bound on C_f.
+    for d in range(2, 9):
+        for rank in (d, 2):
+            for s in range(36):
+                rng = rand.rng_for(2201, d, rank, s)
+                rho = rand.random_density_matrix(d, rng, rank=rank)
+                res = ck.coherence_of_formation(rho, restarts=1, seed=s)
+                cr = ck.relative_entropy_of_coherence(rho)
+                bound = ck.cf_lower_bound(rho)
+                assert bound >= 0.0
+                assert cr <= res.lower_bound <= res.value + 1e-9
+                assert res.lower_bound >= bound - 1e-12
+
+
+def test_cf_lower_bound_is_qubit_concurrence_formula():
+    # At d = 2 the bound is the entanglement of formation of the maximally
+    # correlated state through its concurrence 2|rho_01|.
+    for s in range(200):
+        rho = rand.random_density_matrix(2, rand.rng_for(2202, s))
+        c = 2.0 * abs(rho.matrix[0, 1])
+        closed = h2(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
+        assert abs(ck.cf_lower_bound(rho) - closed) <= 1e-14
+        assert ck.coherence_of_formation_qubit(rho) == ck.cf_lower_bound(rho)
+
+
+def test_cf_lower_bound_on_incoherent_and_maximally_coherent():
+    assert ck.cf_lower_bound(ck.DensityMatrix.from_diagonal([0.2, 0.3, 0.5])) \
+        == 0.0
+    for d in (2, 3, 5, 8):
+        rho = ck.maximally_coherent(d).to_density()
+        assert abs(ck.cf_lower_bound(rho) - math.log2(d)) <= 1e-12
+
+
+def test_cf_qubits_certify_at_the_closed_form():
+    first = 0
+    for s in range(100):
+        rho = rand.random_density_matrix(2, rand.rng_for(2203, s))
+        res = ck.coherence_of_formation(rho, restarts=32, seed=s)
+        assert res.certified and res.converged
+        assert res.lower_by == "l1_bound"
+        assert res.restarts <= 4
+        assert abs(res.value - ck.coherence_of_formation_qubit(rho)) <= 1e-12
+        first += res.restarts == 1
+    assert first >= 95
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_cf_isotropic_states_certify_at_the_bound(d):
+    # The bound is exact on p Phi_d + (1 - p) I / d, so the roof reaches it.
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        rho = ck.DensityMatrix(p * np.full((d, d), 1.0 / d)
+                               + (1.0 - p) * np.eye(d) / d)
+        res = ck.coherence_of_formation(rho, restarts=3, seed=0)
+        assert res.certified and res.lower_by == "l1_bound"
+        assert abs(res.value - ck.cf_lower_bound(rho)) <= 1e-9
+
+
+def test_cf_certifies_with_weights_below_eigenvalue_floor():
+    # Diagonal weights of 1e-13 are real coherence (8.9e-12 bits here): C_r
+    # counts them, so the roof, which always did, certifies at once.
+    p = np.array([1.0 - 2e-13, 1e-13, 1e-13])
+    rho = ck.PureState(np.sqrt(p).astype(complex)).to_density()
+    cr = ck.relative_entropy_of_coherence(rho)
+    assert abs(cr - float(-np.sum(p * np.log2(p)))) <= 1e-15
+    res = ck.coherence_of_formation(rho, restarts=8, seed=0)
+    assert res.certified and res.restarts == 1
+    assert res.lower_by == "cr" and res.lower_bound == cr
+
+
+def test_cr_closed_form_keeps_sub_floor_diagonal_weight():
+    # Two diagonal entries (9.7e-13, 2.8e-13) of this pure state lie below
+    # the eigenvalue floor; dropping them put the closed form 5e-11 bits
+    # below the variational oracle.
+    rng = np.random.default_rng([7, 69])
+    d = int(rng.integers(2, 9))
+    p = rng.dirichlet(np.full(d, 0.1))
+    psi = np.sqrt(p) * np.exp(2j * np.pi * rng.random(d))
+    rho = ck.DensityMatrix(np.outer(psi, psi.conj()))
+    assert np.sum((p > 0) & (p < 1e-12)) == 2
+    assert abs(ck.relative_entropy_of_coherence_variational(rho)
+               - ck.relative_entropy_of_coherence(rho)) <= 1e-12
 
 
 def test_cf_ensemble_capped_at_rank_squared(rng):
@@ -508,6 +596,23 @@ def test_rate_bounds_upper_is_not_collapsed_by_roof_excess(rng):
     sigma = rand.random_density_matrix(3, rng)
     bounds = ck.conversion_rate_bounds(psi, sigma, restarts=4)
     assert bounds.upper > bounds.lower + 1e-3
+
+
+def test_rate_bounds_upper_divides_by_the_closed_form_bound():
+    # For a pure rho, C_f(rho)/B(sigma) undercuts C_r(rho)/C_r(sigma)
+    # whenever B(sigma) > C_r(sigma), so the upper bound tightens.
+    rng = rand.rng_for(2204)
+    psi = rand.random_pure_state(3, rng).to_density()
+    sigma = rand.random_density_matrix(3, rng)
+    cr_psi = ck.relative_entropy_of_coherence(psi)
+    cr_sigma = ck.relative_entropy_of_coherence(sigma)
+    bound = ck.cf_lower_bound(sigma)
+    assert bound > cr_sigma + 0.01
+    bounds = ck.conversion_rate_bounds(psi, sigma, restarts=4)
+    cf_psi = ck.coherence_of_formation(psi, restarts=4).value
+    assert bounds.upper == cf_psi / bound
+    assert bounds.upper < cr_psi / cr_sigma - 1e-3
+    assert bounds.lower <= bounds.upper
 
 
 def test_rate_bounds_incoherent_target_rejected(rng):

@@ -184,6 +184,34 @@ def test_generic_mixed_states_irreversible(rng):
         assert verdict.gap_upper > 0.01
 
 
+def test_gap_lower_proves_irreversibility():
+    # Criterion 8's generic pool: the closed-form bound lifts the lower side
+    # of the gap above zero, exactly so on qubits where it is C_f itself.
+    qubits = 0
+    for s in range(40):
+        rng = rand.rng_for(8002, s)
+        d = int(rng.integers(2, 5))
+        rho = rand.random_density_matrix(d, rng)
+        if rho.max_offdiagonal() < 0.05:
+            continue
+        verdict = ck.is_reversible(rho, restarts=4, seed=s)
+        assert 0.0 <= verdict.gap_lower <= verdict.gap_upper
+        assert verdict.to_dict()["gap_lower"] == verdict.gap_lower
+        if d == 2:
+            qubits += 1
+            assert verdict.gap_lower > 0.0
+            assert verdict.gap_upper - verdict.gap_lower <= 1e-12
+    assert qubits >= 5
+
+
+def test_gap_lower_is_zero_on_block_pure_states(rng):
+    for s in range(10):
+        rho, _, _, _ = rand.random_block_state(int(rng.integers(3, 7)), rng)
+        verdict = ck.is_reversible(rho, restarts=4, seed=s)
+        assert verdict.reversible
+        assert verdict.gap_lower == 0.0
+
+
 def test_verdict_gap_never_negative_beyond_slack(rng):
     for s in range(10):
         d = int(rng.integers(2, 6))
