@@ -63,7 +63,6 @@ from .incoherent import (
 from .asymptotic import (
     CoveringCheckReport,
     ProtocolTrace,
-    TypeMeasurementOutcome,
     converse_fidelity_bound,
     covering_check,
     dilution_blocklength,
@@ -73,7 +72,6 @@ from .asymptotic import (
     simulate_concentration,
     simulate_dilution,
     simulate_formation,
-    type_measurement,
     typical_set_probability,
 )
 from .reversibility import (

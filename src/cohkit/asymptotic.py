@@ -28,7 +28,7 @@ from .rand import RNG_NAME, rng_for
 
 # Compute budgets ("budget exceeded" errors beyond these).
 MAX_N_LOG_DIM = 1e7          # concentration: n * log2(dim)
-MAX_TYPE_COUNT = 2e7         # typical-set probability: number of types
+MAX_TYPE_COUNT = 2e7         # _type_mass: types in the box
 MAX_SEQUENCES = 1e5          # m**n member sequences enumerated at once
 MAX_GRAM = 4000              # covering: Gram-matrix side length
 GRAM_ALPHABET = 64           # covering: block letters per Gram gather
@@ -38,15 +38,6 @@ TYPE_CHUNK = 1 << 15         # types expanded at once by _type_mass
 LETTER_FLOOR = 1e-12         # letters below this probability are dropped
 MAX_SAMPLING_ATTEMPTS = 10000  # rejection sampling of typical counts
 LN_FACTORIAL_TABLE = 4096    # ln k! is tabulated below this k
-
-
-@dataclass(frozen=True)
-class TypeMeasurementOutcome:
-    """One outcome of the type measurement on n copies."""
-    type_counts: np.ndarray
-    probability: float
-    log_class_size: float     # log2 |T(P)|, from log-factorials
-    achieved_rate: float      # log_class_size / n, bits per copy
 
 
 @dataclass
@@ -111,19 +102,6 @@ def log2_type_class_size(counts):
             - np.sum(_ln_factorial(c), axis=-1)) / math.log(2.0)
 
 
-def type_measurement(probs, n: int, rng) -> TypeMeasurementOutcome:
-    """Sample the type measurement: a multinomial type and its statistics."""
-    p = np.asarray(probs, dtype=float)
-    counts = rng.multinomial(n, p / p.sum())
-    log_size = float(log2_type_class_size(counts))
-    with np.errstate(divide="ignore"):
-        log_q = np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0)
-    log_prob = (log_size * math.log(2.0)) + float(np.sum(counts * log_q))
-    return TypeMeasurementOutcome(
-        type_counts=counts, probability=math.exp(log_prob),
-        log_class_size=log_size, achieved_rate=log_size / n)
-
-
 def simulate_concentration(psi: PureState, n: int, trials: int,
                            seed: int = 0) -> ProtocolTrace:
     """Concentration protocol: type measurement on n copies, the surviving
@@ -132,16 +110,16 @@ def simulate_concentration(psi: PureState, n: int, trials: int,
     The achieved rate of a trial is log2 |T(P)| / n; the conditional output
     fidelity is 1 by construction.
     """
+    if n < 1 or trials < 1:
+        raise ValueError("n and trials must be >= 1")
     if n * math.log2(max(psi.dim, 2)) > MAX_N_LOG_DIM:
         raise ResourceLimitError(
             f"n log2(dim) = {n * math.log2(psi.dim):.3g} over budget")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     p = np.asarray(psi.probabilities(), dtype=float)
     p = p / p.sum()
     target = entropy_of_coherence(psi)
-    # One type per trial from its own generator, as type_measurement draws
-    # it; the class sizes of all trials are then taken in one array pass.
+    # The type measurement: one multinomial type per trial from its own
+    # generator; the class sizes of all trials are taken in one array pass.
     counts = np.array([rng_for(seed, t).multinomial(n, p)
                        for t in range(trials)])
     rates = (log2_type_class_size(counts) / n).tolist()
@@ -161,7 +139,9 @@ def _type_mass(ln_q, n: int, lo, hi, score=None, target: float = 0.0,
                tol: float = math.inf) -> float:
     """Multinomial mass n!/prod(c_j!) prod q_j^c_j of the integer types c
     with sum(c) = n and lo <= c <= hi, and, when ``score`` is given, with
-    abs(c . score / n - target) <= tol.
+    abs(c . score / n - target) <= tol.  Raises ResourceLimitError when the
+    box may hold more than MAX_TYPE_COUNT types, and ValueError for n < 1.
+    An empty box sums to 0.0.
 
     Letters are fixed one per level, for a whole chunk of type prefixes at
     once.  An entry of a chunk holds the count c of its newest letter, the
@@ -173,8 +153,17 @@ def _type_mass(ln_q, n: int, lo, hi, score=None, target: float = 0.0,
     holds at most n + 1 entries), and chunks are taken depth-first, so
     memory does not grow with the number of types.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     d = ln_q.size
     lo, hi = [int(x) for x in lo], [int(x) for x in hi]
+    # The last letter's count is fixed by the others.
+    count = min(math.comb(n + d - 1, d - 1),
+                math.prod(max(0, b - a + 1) for a, b in zip(lo[:-1], hi[:-1])))
+    if count > MAX_TYPE_COUNT:
+        raise ResourceLimitError(f"{count} types over budget")
+    if d == 1:
+        return float(lo[0] <= n <= hi[0])
     lo_tail = [sum(lo[j + 1:]) for j in range(d)]
     hi_tail = [sum(hi[j + 1:]) for j in range(d)]
     score = np.zeros(d) if score is None else score
@@ -248,14 +237,8 @@ def typical_set_probability(probs, n: int, delta: float) -> float:
     against a 40-digit sum of the same terms).
     """
     q = _kept_letters(probs)
-    d = q.size
-    if d == 1:
-        return 1.0
-    if math.comb(n + d - 1, d - 1) > MAX_TYPE_COUNT:
-        raise ResourceLimitError(
-            f"{math.comb(n + d - 1, d - 1)} types over budget")
     v = -np.log2(q)
-    return _type_mass(np.log(q), n, [0] * d, [n] * d, score=v,
+    return _type_mass(np.log(q), n, [0] * q.size, [n] * q.size, score=v,
                       target=float(np.dot(q, v)), tol=delta + MEMBERSHIP_TOL)
 
 
@@ -295,8 +278,8 @@ def distillable_rate(rho: DensityMatrix) -> float:
     return relative_entropy_of_coherence(rho)
 
 
-def _freq_typical_log_prob_box(weights, n: int, delta: float):
-    """Integer count windows for the frequency-typical set."""
+def _frequency_box(weights, n: int, delta: float):
+    """Integer count windows lo <= c <= hi of the frequency-typical set."""
     w = np.asarray(weights, dtype=float)
     lo = np.maximum(0, np.ceil(n * (w - delta) - 1e-9).astype(int))
     hi = np.minimum(n, np.floor(n * (w + delta) + 1e-9).astype(int))
@@ -308,20 +291,11 @@ def frequency_typical_probability(weights, n: int, delta: float) -> float:
     over types like :func:`typical_set_probability`, with the same rounding
     (about 1e-12 relative for n in the thousands)."""
     w = np.asarray(weights, dtype=float)
-    m = w.size
-    if m == 1:
-        return 1.0
-    lo, hi = _freq_typical_log_prob_box(w, n, delta)
-    if np.any(lo > hi):
-        return 0.0
-    widths = hi[:-1] - lo[:-1] + 1
-    if float(np.prod(widths.astype(float))) > 1e7:
-        raise ResourceLimitError("frequency-typical box over budget")
-    return _type_mass(np.log(np.maximum(w, 1e-300)), n, lo, hi)
+    return _type_mass(np.log(np.maximum(w, 1e-300)), n,
+                      *_frequency_box(w, n, delta))
 
 
-def _sample_typical_counts(weights, n, delta, rng):
-    lo, hi = _freq_typical_log_prob_box(weights, n, delta)
+def _sample_typical_counts(weights, n, lo, hi, rng):
     for _ in range(MAX_SAMPLING_ATTEMPTS):
         counts = rng.multinomial(n, weights)
         if np.all(counts >= lo) and np.all(counts <= hi):
@@ -347,6 +321,8 @@ def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
     dim**n * (K + n) <= MAX_RECONSTRUCT_ENTRIES, K the number of
     frequency-typical member sequences.
     """
+    if n < 1 or trials < 1:
+        raise ValueError("n and trials must be >= 1")
     if ensemble is None:
         ensemble = coherence_of_formation(rho, restarts=restarts,
                                           seed=seed).ensemble
@@ -354,6 +330,9 @@ def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
     weights = weights / weights.sum()
     coherences = np.array([entropy_of_coherence(m) for m in ensemble.members])
     target = float(np.dot(weights, coherences))
+    lo, hi = _frequency_box(weights, n, delta1)
+    if np.any(lo > hi) or lo.sum() > n or hi.sum() < n:
+        raise ResourceLimitError("frequency-typical set empty; enlarge delta1")
 
     @functools.cache
     def group_fidelity(j: int, c: int) -> float:
@@ -366,7 +345,7 @@ def simulate_formation(rho: DensityMatrix, n: int, delta1: float,
     fidelities = []
     for t in range(trials):
         rng = rng_for(seed, t)
-        counts = _sample_typical_counts(weights, n, delta1, rng)
+        counts = _sample_typical_counts(weights, n, lo, hi, rng)
         freqs = counts / n
         rates.append(float(np.dot(freqs + delta1, coherences + delta2)))
         fidelities.append(math.prod(group_fidelity(j, int(c_j))
@@ -400,7 +379,7 @@ def _reconstruct_formation_output(rho, ensemble, n, delta1, delta2,
     weights = np.asarray(ensemble.weights, dtype=float)
     m = weights.size
     seqs, counts = _window_rows(
-        m, n, *_freq_typical_log_prob_box(weights, n, delta1))
+        m, n, *_frequency_box(weights, n, delta1))
     entries = d ** n * (seqs.shape[0] + n)
     if entries > MAX_RECONSTRUCT_ENTRIES:
         raise ResourceLimitError(
@@ -486,6 +465,8 @@ def covering_check(ensemble: Ensemble, n: int, S: int, trials: int,
     nonzero eigenvalues of the subset average minus the class average.
     A subset size S outside [1, N] violates the invariant ``subset_size``.
     """
+    if n < 1 or trials < 1:
+        raise ValueError("n and trials must be >= 1")
     weights = np.asarray(ensemble.weights, dtype=float)
     m = weights.size
     counts = _apportion_counts(weights, n)

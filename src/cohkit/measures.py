@@ -42,14 +42,12 @@ VARIATIONAL_FLOOR = 1e-15
 VARIATIONAL_TOL = 1e-15
 VARIATIONAL_MAXITER = 1000
 # Roof optimizer: L-BFGS memory, eigenvalue floor of the preconditioner,
-# squared-gradient and stall stops, Armijo constant, smallest backtracking
-# step, iteration cap, and the distance above C_r at which a restart's value
-# is a certified optimum.
+# squared-gradient stop, Armijo constant, smallest backtracking step,
+# iteration cap, and the distance above C_r at which a restart's value is a
+# certified optimum.
 LBFGS_MEMORY = 8
 PRECOND_FLOOR = 1e-4
 GRAD_TOL = 1e-14
-STALL_TOL = 1e-15
-STALL_ITERS = 3
 ARMIJO = 1e-4
 MIN_STEP = 1e-10
 MAX_ITER = 1000
@@ -294,14 +292,12 @@ def _lbfgs(u: np.ndarray, factor: np.ndarray, target: float):
     onto the tangent space.  Steps are retracted by the polar factor and
     found by Armijo backtracking from t = 1.  Stops when the squared
     gradient norm falls below ``GRAD_TOL``, when the value reaches
-    ``target``, after ``STALL_ITERS`` steps in a row that gain at most
-    ``STALL_TOL``, or when backtracking fails.
+    ``target``, when backtracking fails, or after ``MAX_ITER`` steps.
     """
     precondition = _spectral_preconditioner(factor)
     f, g = _roof_value_grad(u, factor)
     xi = _tangent(u, g)
     memory = deque(maxlen=LBFGS_MEMORY)  # appending drops the oldest pair
-    stall = 0
     for _ in range(MAX_ITER):
         if f <= target or _inner(xi, xi) < GRAD_TOL:
             break
@@ -325,10 +321,7 @@ def _lbfgs(u: np.ndarray, factor: np.ndarray, target: float):
         sy = _inner(s, y)
         if sy > 0.0:
             memory.append((s, y, 1.0 / sy))
-        stall = stall + 1 if f - f_new <= STALL_TOL else 0
         u, f, xi = u_new, f_new, xi_new
-        if stall >= STALL_ITERS:
-            break
     return f, u
 
 
@@ -386,7 +379,7 @@ def coherence_of_formation(rho: DensityMatrix, restarts: int = 32,
     ``random_isometry(m, r, rng_for(seed, k))`` and runs Riemannian
     L-BFGS, preconditioned by the spectrum of rho (polar retraction, Armijo
     backtracking from t = 1), until the squared gradient norm falls below
-    1e-14, progress stalls, or the value comes within 1e-12 of the lower
+    1e-14, backtracking fails, or the value comes within 1e-12 of the lower
     side of the bracket.  That side is C_r, or B = :func:`cf_lower_bound`
     where B exceeds C_r by more than 1e-12 (``lower_by`` says which); B is
     exact on qubits and isotropic states.  Since it is below C_f, reaching

@@ -46,15 +46,13 @@ def test_ln_factorial_within_4_ulp_of_lgamma():
 
 
 def test_type_measurement_outcome_invariants(rng):
+    # Method of types: H(emp) - d log2(n+1)/n <= log2 |T(emp)| / n <= H(emp).
     probs = np.array([0.5, 0.3, 0.2])
     n = 200
     for t in range(20):
-        out = ck.type_measurement(probs, n, rng)
-        assert out.type_counts.sum() == n
-        assert 0.0 <= out.probability <= 1.0
-        emp = out.type_counts / n
-        h_emp = shannon(emp)
-        rate = out.achieved_rate
+        counts = rng.multinomial(n, probs)
+        h_emp = shannon(counts / n)
+        rate = ck.log2_type_class_size(counts) / n
         assert rate <= h_emp + 1e-12
         assert rate >= h_emp - probs.size * math.log2(n + 1) / n - 1e-12
 
@@ -117,13 +115,16 @@ def test_concentration_deterministic_per_seed():
     ([0.4, 0.0, 0.3, 0.3], 50, 3),
 ])
 def test_concentration_trials_are_type_measurements(amps, n, trials):
-    # Trial t is the type measurement drawn from rng_for(seed, t), bit for bit.
+    # Trial t is the type drawn from rng_for(seed, t), at the rate
+    # log2 (n! / prod c_j!) / n taken here with math.lgamma.
     psi = ck.PureState(np.sqrt(amps).astype(complex))
     trace = ck.simulate_concentration(psi, n, trials, seed=4)
-    expected = [ck.type_measurement(psi.probabilities(), n,
-                                    rand.rng_for(4, t)).achieved_rate
-                for t in range(trials)]
-    assert trace.rates == expected
+    p = psi.probabilities() / psi.probabilities().sum()
+    for t in range(trials):
+        c = rand.rng_for(4, t).multinomial(n, p)
+        expected = (math.lgamma(n + 1) - sum(math.lgamma(x + 1) for x in c)) \
+            / (n * math.log(2.0))
+        assert abs(trace.rates[t] - expected) <= 1e-12
     assert all(type(r) is float for r in trace.rates)
 
 
@@ -154,6 +155,9 @@ def brute_typical_probability(probs, n, delta):
     # n and 0), and every type (mass 1)
     ([0.9, 0.1], 8, 0.35),
     ([0.5, 0.3, 0.2], 6, 3.0),
+    # one letter, or one kept letter: mass 1
+    ([1.0], 5, 0.0),
+    ([1.0, 1e-13], 5, 0.0),
 ])
 def test_typical_set_probability_against_enumeration(probs, n, delta):
     exact = ck.typical_set_probability(probs, n, delta)
@@ -174,6 +178,21 @@ def test_sequences_are_product_rows(m, n):
 def test_typical_probability_budget():
     with pytest.raises(ResourceLimitError):
         ck.typical_set_probability([0.25] * 4, 10 ** 4, 0.01)
+
+
+def test_type_sums_share_one_budget(monkeypatch):
+    # At d = 3 there are C(n + 2, 2) types: 66 at n = 10, 78 at n = 11.
+    monkeypatch.setattr(asymptotic, "MAX_TYPE_COUNT", 66)
+    w = [0.5, 0.3, 0.2]
+    assert 0.0 < ck.typical_set_probability(w, 10, 0.0) <= 1.0
+    assert ck.frequency_typical_probability(w, 10, 1.0) == pytest.approx(1.0)
+    with pytest.raises(ResourceLimitError, match="78 types over budget"):
+        ck.typical_set_probability(w, 11, 0.0)
+    with pytest.raises(ResourceLimitError, match="78 types over budget"):
+        ck.frequency_typical_probability(w, 11, 1.0)
+    # A box counts at most the product of its first d - 1 window widths:
+    # 2 x 2 types at n = 11, delta = 0.1.
+    assert 0.0 < ck.frequency_typical_probability(w, 11, 0.1) < 1.0
 
 
 # -- dilution ------------------------------------------------------------------------
@@ -383,6 +402,9 @@ def test_formation_reconstruction_budget():
     ([0.9, 0.1], 10, 0.2),         # windows clipped at n and at 0
     ([0.5, 0.3, 0.2], 10, 0.1),
     ([0.7, 0.2, 0.1], 9, 0.15),    # third window clipped at 0
+    ([1.0], 7, 0.0),               # one letter: mass 1
+    ([0.45, 0.55], 10, 0.01),      # empty box, a window with lo > hi
+    ([1 / 3] * 3, 4, 0.1),         # empty box, windows [1, 1] sum to 3 < n
 ])
 def test_frequency_typical_probability_matches_enumeration(w, n, delta):
     w = np.asarray(w)
@@ -401,6 +423,41 @@ def test_frequency_typical_probability_matches_enumeration(w, n, delta):
 def test_frequency_typical_box_budget():
     with pytest.raises(ResourceLimitError):
         ck.frequency_typical_probability([0.25] * 4, 10 ** 4, 0.4)
+
+
+@pytest.mark.parametrize("w,n,delta1", [
+    ([0.45, 0.55], 10, 0.01),      # windows (5, 4) and (6, 5): lo > hi
+    ([1 / 3] * 3, 4, 0.1),         # windows [1, 1]: sum(hi) = 3 < n
+])
+def test_formation_empty_frequency_box_fails_fast(w, n, delta1):
+    ens = ck.Ensemble(np.array(w),
+                      [ck.PureState.basis_state(len(w), j)
+                       for j in range(len(w))])
+    with pytest.raises(ResourceLimitError,
+                       match="frequency-typical set empty; enlarge delta1"):
+        ck.simulate_formation(ens.reconstruct(), n, delta1, 0.1,
+                              ensemble=ens, trials=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ck.simulate_concentration(Q91, 0, 1),
+    lambda: ck.simulate_concentration(Q91, 10, 0),
+    lambda: ck.simulate_dilution(Q91, 0, 0.1),
+    lambda: ck.typical_set_probability([1.0], 0, 0.1),
+    lambda: ck.frequency_typical_probability([0.5, 0.5], 0, 0.1),
+    lambda: ck.simulate_formation(Q91.to_density(), 0, 0.1, 0.1,
+                                  ensemble=ck.Ensemble([1.0], [Q91])),
+    lambda: ck.simulate_formation(Q91.to_density(), 10, 0.1, 0.1,
+                                  ensemble=ck.Ensemble([1.0], [Q91]),
+                                  trials=0),
+    lambda: ck.covering_check(cover_ensemble(), 0, 1, trials=1),
+    lambda: ck.covering_check(cover_ensemble(), 4, 2, trials=0),
+], ids=["concentration-n0", "concentration-trials0", "dilution-n0",
+        "typical-n0", "frequency-n0", "formation-n0", "formation-trials0",
+        "covering-n0", "covering-trials0"])
+def test_no_copies_or_no_trials_is_an_error(call):
+    with pytest.raises(ValueError, match=">= 1"):
+        call()
 
 
 # -- covering ------------------------------------------------------------------------------
