@@ -66,7 +66,6 @@ from .asymptotic import (
     converse_fidelity_bound,
     covering_check,
     dilution_blocklength,
-    distillable_rate,
     frequency_typical_probability,
     log2_type_class_size,
     simulate_concentration,

@@ -357,10 +357,9 @@ def main(argv=None) -> int:
         print(exc.code, file=sys.stderr)  # files that cannot be read/written
         return 1
     except TransformationImpossibleError as exc:
-        report = {"error": "transformation_impossible", "detail": str(exc)}
-        if exc.witness is not None:
-            report["witness"] = exc.witness.to_dict()
-        print(dumps_json(report), file=sys.stderr)
+        print(dumps_json({"error": "transformation_impossible",
+                          "detail": str(exc),
+                          "witness": exc.witness.to_dict()}), file=sys.stderr)
         return 3
     except InvariantViolationError as exc:
         print(dumps_json({"error": "invariant_violation",

@@ -42,7 +42,7 @@ class TransformationImpossibleError(CohkitError):
     Carries the failed majorization witness in ``witness``.
     """
 
-    def __init__(self, message: str, witness=None):
+    def __init__(self, message: str, witness):
         self.witness = witness
         super().__init__(message)
 

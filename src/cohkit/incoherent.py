@@ -26,6 +26,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     _check_finite,
+    _check_probability_vector,
     _complex_json,
     _j2c,
     _json_int,
@@ -38,7 +39,6 @@ CERTIFICATE_ATOL = 1e-12
 INCOHERENT_ENTRY_TOL = 1e-12
 ZERO_AMPLITUDE_TOL = 1e-12
 BIRKHOFF_ATOL = 1e-9
-PROBABILITY_ATOL = 1e-9       # majorization inputs: entries and unit sum
 SELECTIVE_PROB_FLOOR = 1e-12  # selective outcomes below this are dropped
 NCG_TOL = 1e-10               # off-(block-)diagonal image entries
 
@@ -111,6 +111,12 @@ class KrausOperator:
         return self.entries.shape[1]
 
 
+def _birkhoff_json(terms) -> list:
+    """Birkhoff terms (weight, permutation) as JSON objects."""
+    return [{"weight": float(w), "perm": [int(i) for i in p]}
+            for w, p in terms]
+
+
 class IncoherentChannel:
     """A cptp map given by Kraus operators, with its free class.
 
@@ -161,8 +167,7 @@ class IncoherentChannel:
                  "c": _complex_json(k.coefficients)}
                 for k in self.kraus]
         if self.birkhoff is not None:
-            out["birkhoff"] = [{"weight": float(w), "perm": [int(i) for i in p]}
-                               for w, p in self.birkhoff]
+            out["birkhoff"] = _birkhoff_json(self.birkhoff)
         return out
 
     @classmethod
@@ -194,15 +199,18 @@ class IncoherentChannel:
         return channel
 
 
-def apply_channel(ch: IncoherentChannel, rho: DensityMatrix) -> DensityMatrix:
-    """sum_l K_l rho K_l^dag."""
+def _kraus_images(ch: IncoherentChannel, rho: DensityMatrix):
+    """K_l rho K_l^dag for each Kraus operator, in order."""
     if ch.dim_in != rho.dim:
         raise DimensionMismatchError(
             f"channel dim_in {ch.dim_in} != state dim {rho.dim}")
-    acc = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
     for k in ch.kraus:
-        acc += k.entries @ rho.matrix @ k.entries.conj().T
-    return DensityMatrix(acc)
+        yield k.entries @ rho.matrix @ k.entries.conj().T
+
+
+def apply_channel(ch: IncoherentChannel, rho: DensityMatrix) -> DensityMatrix:
+    """sum_l K_l rho K_l^dag."""
+    return DensityMatrix(sum(_kraus_images(ch, rho)))
 
 
 def apply_selective(ch: IncoherentChannel, rho: DensityMatrix):
@@ -210,16 +218,11 @@ def apply_selective(ch: IncoherentChannel, rho: DensityMatrix):
 
     Outcomes with probability below ``SELECTIVE_PROB_FLOOR`` are dropped.
     """
-    if ch.dim_in != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dim_in {ch.dim_in} != state dim {rho.dim}")
     outcomes = []
-    for k in ch.kraus:
-        m = k.entries @ rho.matrix @ k.entries.conj().T
+    for m in _kraus_images(ch, rho):
         p = float(np.real(np.trace(m)))
-        if p < SELECTIVE_PROB_FLOOR:
-            continue
-        outcomes.append((p, DensityMatrix(m / p)))
+        if p >= SELECTIVE_PROB_FLOOR:
+            outcomes.append((p, DensityMatrix(m / p)))
     return outcomes
 
 
@@ -307,18 +310,8 @@ class MajorizationWitness:
         if self.bistochastic is not None:
             out["bistochastic"] = [[float(x) for x in row]
                                    for row in self.bistochastic]
-            out["birkhoff"] = [{"weight": float(w),
-                                "perm": [int(i) for i in p]}
-                               for w, p in self.birkhoff]
+            out["birkhoff"] = _birkhoff_json(self.birkhoff)
         return out
-
-
-def _check_probability_vector(p: np.ndarray, name: str):
-    _check_finite(p)
-    if np.any(p < -PROBABILITY_ATOL):
-        raise InvariantViolationError(name, "negative entry")
-    if abs(float(p.sum()) - 1.0) > PROBABILITY_ATOL:
-        raise InvariantViolationError(name, f"sum {float(p.sum())!r} != 1")
 
 
 def _permutohedron_terms(p: np.ndarray, q: np.ndarray):
@@ -397,8 +390,8 @@ def majorization_check(p, q) -> MajorizationWitness:
     d = max(p.size, q.size)
     p = np.pad(p, (0, d - p.size))
     q = np.pad(q, (0, d - q.size))
-    _check_probability_vector(p, "probability_vector")
-    _check_probability_vector(q, "probability_vector")
+    _check_probability_vector(p)
+    _check_probability_vector(q)
 
     p_sorted = np.sort(p)[::-1]
     q_sorted = np.sort(q)[::-1]

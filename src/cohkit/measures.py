@@ -336,8 +336,7 @@ def _ensemble_from_isometry(u: np.ndarray, factor: np.ndarray) -> Ensemble:
             break
         a = w[:, i] / math.sqrt(weights[i])
         nz = np.flatnonzero(np.abs(a) > 1e-9)
-        if nz.size:
-            a = a * np.exp(-1j * np.angle(a[nz[0]]))
+        a = a * np.exp(-1j * np.angle(a[nz[0]]))
         kept.append(weights[i])
         members.append(PureState(a / np.linalg.norm(a)))
     kept = np.array(kept)
@@ -436,23 +435,24 @@ def coherence_of_formation_qubit(rho: DensityMatrix) -> float:
     return cf_lower_bound(rho)
 
 
-def cr_continuity_bound(d: int, eps: float) -> float:
-    """eps * log2(d) + 2 h(eps/2): continuity modulus of the relative entropy
-    of coherence at trace distance eps."""
+def _check_continuity_domain(d: int, eps: float) -> None:
     if d < 2:
         raise ValueError(f"dimension {d} < 2")
     if eps < 0.0 or eps > 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
+
+
+def cr_continuity_bound(d: int, eps: float) -> float:
+    """eps * log2(d) + 2 h(eps/2): continuity modulus of the relative entropy
+    of coherence at trace distance eps."""
+    _check_continuity_domain(d, eps)
     return eps * math.log2(d) + 2.0 * binary_entropy(eps / 2.0)
 
 
 def cf_continuity_bound(d: int, eps: float) -> float:
     """eps * log2(d) + (1+eps) h(eps/(1+eps)): continuity modulus of the
     coherence of formation at Bures distance eps."""
-    if d < 2:
-        raise ValueError(f"dimension {d} < 2")
-    if eps < 0.0 or eps > 1.0:
-        raise ValueError(f"eps {eps} outside [0, 1]")
+    _check_continuity_domain(d, eps)
     return eps * math.log2(d) + (1.0 + eps) * binary_entropy(eps / (1.0 + eps))
 
 

@@ -33,6 +33,8 @@ PURE_NORM_ATOL = 1e-12
 # eigenvalues, while a probability vector's small entries are real weight.
 ENTROPY_EIG_FLOOR = 1e-12
 SUPPORT_TOL = 1e-10
+# Probability vectors: entries >= -PROBABILITY_ATOL, sum within it of 1.
+PROBABILITY_ATOL = 1e-9
 
 # Cap on composite dimensions (tensor products, embeddings).
 DIM_CAP = 4096
@@ -43,6 +45,15 @@ _COMPLEX_KEYS = frozenset(("re", "im"))
 def _check_finite(a: np.ndarray) -> None:
     if not np.all(np.isfinite(a)):
         raise InvariantViolationError("finite", "NaN or infinite entries")
+
+
+def _check_probability_vector(p: np.ndarray) -> None:
+    _check_finite(p)
+    if np.any(p < -PROBABILITY_ATOL):
+        raise InvariantViolationError("probability_vector", "negative entry")
+    if abs(float(p.sum()) - 1.0) > PROBABILITY_ATOL:
+        raise InvariantViolationError("probability_vector",
+                                      f"sum {float(p.sum())!r} != 1")
 
 
 def _as_complex_matrix(matrix) -> np.ndarray:
@@ -293,8 +304,6 @@ def shannon_entropy(probs) -> float:
     """Base-2 Shannon entropy; every positive weight counts."""
     p = np.asarray(probs, dtype=float)
     p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
     return float(max(0.0, -np.sum(p * np.log2(p))))
 
 

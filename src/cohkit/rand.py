@@ -94,17 +94,16 @@ def random_strictly_incoherent_channel(d: int, n_kraus: int,
         for c in coeff])
 
 
-def random_merge_channel(d: int, rng, rows: int | None = None) -> IncoherentChannel:
+def random_merge_channel(d: int, rng) -> IncoherentChannel:
     """Incoherent channel whose Kraus operators each collapse onto one basis
     state: K_l = |t_l> w_l^dag with the w_l the rows of an isometry.
 
     The j maps are constant per operator, hence not one-to-one: the channel
     is incoherent but generically not strictly incoherent.
     """
-    rows = d if rows is None else rows
-    v = random_isometry(rows, d, rng)
+    v = random_isometry(d, d, rng)
     kraus = []
-    for ell in range(rows):
+    for ell in range(d):
         t = int(rng.integers(0, d))
         kraus.append(KrausOperator.from_certificate(np.full(d, t),
                                                     v[ell].conj(), d))

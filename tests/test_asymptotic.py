@@ -7,7 +7,7 @@ import pytest
 
 import cohkit as ck
 from cohkit import asymptotic, rand
-from cohkit.errors import ResourceLimitError
+from cohkit.errors import InvariantViolationError, ResourceLimitError
 
 from conftest import h2, shannon
 
@@ -159,10 +159,15 @@ def brute_typical_probability(probs, n, delta):
     ([1.0], 5, 0.0),
     ([1.0, 1e-13], 5, 0.0),
 ])
-def test_typical_set_probability_against_enumeration(probs, n, delta):
-    exact = ck.typical_set_probability(probs, n, delta)
+def test_typical_set_probability_against_enumeration(probs, n, delta,
+                                                    monkeypatch):
     brute = brute_typical_probability(probs, n, delta)
-    assert np.isclose(exact, brute, atol=1e-12)
+    assert np.isclose(ck.typical_set_probability(probs, n, delta), brute,
+                      atol=1e-12)
+    # Chunks of at most 2 types: every prefix chunk is halved down.
+    monkeypatch.setattr(asymptotic, "TYPE_CHUNK", 2)
+    assert np.isclose(ck.typical_set_probability(probs, n, delta), brute,
+                      atol=1e-12)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (2, 1), (2, 6), (3, 4),
@@ -178,6 +183,19 @@ def test_sequences_are_product_rows(m, n):
 def test_typical_probability_budget():
     with pytest.raises(ResourceLimitError):
         ck.typical_set_probability([0.25] * 4, 10 ** 4, 0.01)
+
+
+@pytest.mark.parametrize("probs", [[np.nan, 0.5], [0.3, 0.3], [-0.2, 1.2]],
+                         ids=["nan", "sum-0.6", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda p: ck.typical_set_probability(p, 50, 0.1),
+    lambda p: ck.frequency_typical_probability(p, 50, 0.1),
+    lambda p: ck.dilution_blocklength(p, 0.1, 0.1),
+], ids=["typical", "frequency", "blocklength"])
+def test_type_sums_reject_invalid_distributions(call, probs):
+    with pytest.raises(InvariantViolationError,
+                       match="finite|probability_vector"):
+        call(probs)
 
 
 def test_type_sums_share_one_budget(monkeypatch):
@@ -223,6 +241,8 @@ def test_dilution_meets_chernoff_prediction():
     trace = ck.simulate_dilution(Q91, n, 0.05)
     assert trace.fidelity[0] >= 1.0 - eps
     assert np.isclose(trace.rates[0], h2(0.9) + 0.05, atol=1e-12)
+    # Equal surprisals spread by 0: one copy meets any eps.
+    assert ck.dilution_blocklength([0.25] * 4, 0.05, eps) == 1
 
 
 def test_concentration_dilution_bracket():
@@ -406,9 +426,12 @@ def test_formation_reconstruction_budget():
     ([0.45, 0.55], 10, 0.01),      # empty box, a window with lo > hi
     ([1 / 3] * 3, 4, 0.1),         # empty box, windows [1, 1] sum to 3 < n
 ])
-def test_frequency_typical_probability_matches_enumeration(w, n, delta):
+def test_frequency_typical_probability_matches_enumeration(w, n, delta,
+                                                          monkeypatch):
     w = np.asarray(w)
     exact = ck.frequency_typical_probability(w, n, delta)
+    monkeypatch.setattr(asymptotic, "TYPE_CHUNK", 2)
+    halved = ck.frequency_typical_probability(w, n, delta)
     brute = 0.0
     for counts in itertools.product(range(n + 1), repeat=w.size):
         counts = np.array(counts)
@@ -418,6 +441,7 @@ def test_frequency_typical_probability_matches_enumeration(w, n, delta):
                 [math.factorial(int(c)) for c in counts])
             brute += coeff * float(np.prod(w ** counts))
     assert np.isclose(exact, brute, atol=1e-12)
+    assert np.isclose(halved, brute, atol=1e-12)
 
 
 def test_frequency_typical_box_budget():
@@ -437,6 +461,23 @@ def test_formation_empty_frequency_box_fails_fast(w, n, delta1):
                        match="frequency-typical set empty; enlarge delta1"):
         ck.simulate_formation(ens.reconstruct(), n, delta1, 0.1,
                               ensemble=ens, trials=1)
+
+
+def test_formation_sampling_gives_up_after_max_attempts(monkeypatch):
+    # delta1 = 0.001 at n = 100 admits the one type (50, 50); with a single
+    # attempt per trial, the first draw of seed 3 has it and those of seeds
+    # 0, 1, 2 and 4 do not.
+    monkeypatch.setattr(asymptotic, "MAX_SAMPLING_ATTEMPTS", 1)
+    ens = ck.Ensemble(np.array([0.5, 0.5]),
+                      [ck.PureState.basis_state(2, j) for j in range(2)])
+    rho = ens.reconstruct()
+    ck.simulate_formation(rho, 100, 0.001, 0.1, seed=3, ensemble=ens,
+                          trials=1)
+    for seed in (0, 1, 2, 4):
+        with pytest.raises(ResourceLimitError,
+                           match="frequency-typical sampling failed"):
+            ck.simulate_formation(rho, 100, 0.001, 0.1, seed=seed,
+                                  ensemble=ens, trials=1)
 
 
 @pytest.mark.parametrize("call", [
@@ -582,9 +623,13 @@ def test_covering_holds_about_three_class_sized_arrays():
     assert peak <= 3.5 * big_n * big_n * 8
 
 
-def test_covering_budget():
+def test_covering_budget(monkeypatch):
     with pytest.raises(ResourceLimitError):
         ck.covering_check(cover_ensemble(), 40, 8, trials=1, seed=0)
+    monkeypatch.setattr(asymptotic, "MAX_GRAM", 5)
+    with pytest.raises(ResourceLimitError,
+                       match="type class size 6 exceeds Gram budget 5"):
+        ck.covering_check(cover_ensemble(), 4, 2, trials=1, seed=0)
 
 
 # -- converse bound ---------------------------------------------------------------------------
@@ -612,8 +657,3 @@ def test_converse_bound_direct_overlap():
     # And the rank-limited fidelity never beats the bound at equal rates.
     assert fid <= ck.converse_fidelity_bound(2, math.log2(4) / 2,
                                              math.log2(16) / 2) + 1e-12
-
-
-def test_distillable_rate_is_cr(rng):
-    rho = rand.random_density_matrix(3, rng)
-    assert ck.distillable_rate(rho) == ck.relative_entropy_of_coherence(rho)

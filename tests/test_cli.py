@@ -493,7 +493,8 @@ def test_out_file_holds_what_each_command_writes(capsys, files, argv, kind):
 
 @pytest.mark.parametrize("case", ["state-is-a-directory", "state-not-utf8",
                                   "integer-past-digit-limit",
-                                  "out-in-missing-directory"])
+                                  "out-in-missing-directory",
+                                  "state-missing", "state-nested-too-deep"])
 def test_unreadable_input_or_unwritable_out_is_exit_1(capsys, files, case):
     # One error line, no report and no traceback, in-process and as a
     # program run with warnings as errors.
@@ -502,16 +503,23 @@ def test_unreadable_input_or_unwritable_out_is_exit_1(capsys, files, case):
     # json parses integers with int(), which refuses past 4300 digits.
     digits = files["dir"] / "digits.json"
     digits.write_text('{"dim": 2, "amplitudes": [' + "1" * 5000 + ", 0]}")
-    argv = ["measure", "--which", "cr", "--state"] + {
-        "state-is-a-directory": [str(files["dir"])],
-        "state-not-utf8": [str(latin1)],
-        "integer-past-digit-limit": [str(digits)],
-        "out-in-missing-directory": [
-            files["phi2"], "--out", str(files["dir"] / "absent" / "r.json")],
+    deep = files["dir"] / "deep.json"
+    deep.write_text("[" * 100000)
+    tail, message = {
+        "state-is-a-directory": ([str(files["dir"])], "cannot read "),
+        "state-not-utf8": ([str(latin1)], "cannot read "),
+        "integer-past-digit-limit": ([str(digits)], "cannot read "),
+        "out-in-missing-directory": (
+            [files["phi2"], "--out", str(files["dir"] / "absent" / "r.json")],
+            "cannot write "),
+        "state-missing": ([str(files["dir"] / "absent.json")],
+                          "no such file: "),
+        "state-nested-too-deep": ([str(deep)], "JSON nesting too deep in "),
     }[case]
+    argv = ["measure", "--which", "cr", "--state"] + tail
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error: cannot ")
+    assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "cohkit.cli"]
                           + argv, env=subprocess_env(), capture_output=True,

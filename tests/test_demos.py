@@ -1,6 +1,6 @@
 """Smoke test: the demo scripts run to completion.
 
-``06_covering_concentration.py`` is left out for its run time (about 10 s);
+``06_covering_concentration.py`` is left out for its run time (about 5 s);
 ``04_formation_protocol.py`` exercises the formation reconstruction.
 """
 
